@@ -85,8 +85,10 @@ def create_backend(name: str) -> Backend:
 class _TracedBackend:
     """Span-and-counter proxy around a backend, installed only while tracing.
 
-    Every op in :data:`~repro.backend.api.OPS` is wrapped once at
-    construction: a call bumps the process-wide ``backend_op_calls`` counter
+    Every op the backend implements — the :data:`~repro.backend.api.OPS`
+    vocabulary plus any capability op it lists in ``op_support()``, such as
+    ``cut_level_merge`` — is wrapped once at construction: a call bumps the
+    process-wide ``backend_op_calls`` counter
     (and ``backend_op_fallbacks`` when the backend serves the op through a
     degraded path), then runs under a ``backend.<op>`` span carrying the
     resolved backend, engine and per-op implementation as attributes.
@@ -107,9 +109,9 @@ class _TracedBackend:
         self._engine = engine() if callable(engine) else None
         calls = REGISTRY.counter("backend_op_calls")
         fallbacks = REGISTRY.counter("backend_op_fallbacks")
-        for op in OPS:
+        for op in dict.fromkeys((*OPS, *support)):
             target = getattr(inner, op, None)
-            if target is None:  # pragma: no cover - incomplete backend
+            if not callable(target):
                 continue
             setattr(self, op, self._wrap(op, target, support.get(op, ""), calls, fallbacks))
 

@@ -45,7 +45,7 @@ def run_fig3_embedding(aig: Optional[Aig] = None, num_samples: int = 4, seed: in
     vectors = sampler.generate(max(2, num_samples - 1))
     vectors += RandomSampler(aig, seed=seed + 1).generate(1)
     records = evaluate_samples(aig, vectors)
-    dataset = build_dataset(aig, records, analysis=sampler.analysis)
+    dataset = build_dataset(aig, records)
     encoding = encode_graph(aig)
 
     result = Fig3Result(design=aig.name, num_nodes=encoding.num_nodes)

@@ -16,7 +16,7 @@ design), and it is what lets the model *rank* candidate samples.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -25,7 +25,7 @@ from repro.features.dynamic_features import DYNAMIC_FEATURE_DIM
 from repro.features.encoding import GraphEncoding
 from repro.features.static_features import STATIC_FEATURE_DIM
 from repro.orchestration.sampling import SampleRecord
-from repro.orchestration.transformability import NodeTransformability, OperationParams
+from repro.orchestration.transformability import OperationParams
 
 #: Total per-node feature width (static ⊕ dynamic).
 FEATURE_DIM = STATIC_FEATURE_DIM + DYNAMIC_FEATURE_DIM
@@ -108,7 +108,6 @@ def normalized_labels(reductions: Sequence[int]) -> Tuple[np.ndarray, int]:
 def build_dataset(
     aig: Aig,
     records: Sequence[SampleRecord],
-    analysis: Optional[Dict[int, NodeTransformability]] = None,
     params: Optional[OperationParams] = None,
     undirected: bool = True,
 ) -> BoolGebraDataset:
@@ -121,9 +120,6 @@ def build_dataset(
         static features are computed once from this network).
     records:
         Evaluated samples (each must carry its :class:`OrchestrationResult`).
-    analysis:
-        Optional pre-computed transformability analysis (reused from the
-        priority-guided sampler to avoid recomputing static features).
     """
     missing = [index for index, record in enumerate(records) if record.result is None]
     if missing:
@@ -133,9 +129,7 @@ def build_dataset(
     from repro.features.dynamic_features import dynamic_feature_batch
     from repro.features.incremental import feature_context
 
-    context = feature_context(
-        aig, analysis=analysis, params=params, undirected=undirected
-    )
+    context = feature_context(aig, params=params, undirected=undirected)
     encoding = context.encoding
     static = context.static
     reductions = [record.result.reduction for record in records]

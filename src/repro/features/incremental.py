@@ -12,10 +12,9 @@ the levelized kernel snapshots of :mod:`repro.aig.kernels`.
 
 from __future__ import annotations
 
-import dataclasses
 import weakref
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -23,7 +22,7 @@ from repro.aig.aig import Aig
 from repro.features.dynamic_features import dynamic_feature_template
 from repro.features.encoding import GraphEncoding, encode_graph
 from repro.features.static_features import static_feature_matrix
-from repro.orchestration.transformability import NodeTransformability, OperationParams
+from repro.orchestration.transformability import OperationParams, params_tag
 
 
 @dataclass
@@ -42,36 +41,26 @@ class FeatureContext:
         return self.encoding.num_nodes
 
 
-def _params_tag(params: Optional[OperationParams]) -> str:
-    """Deterministic textual tag of the operation parameters."""
-    return repr(dataclasses.asdict(params or OperationParams()))
-
-
 #: aig -> (cache tag, FeatureContext); weak keys so contexts die with designs.
 _CONTEXT_CACHE: "weakref.WeakKeyDictionary[Aig, tuple]" = weakref.WeakKeyDictionary()
 
 
 def feature_context(
     aig: Aig,
-    analysis: Optional[Dict[int, NodeTransformability]] = None,
     params: Optional[OperationParams] = None,
     undirected: bool = True,
 ) -> FeatureContext:
     """Return the (cached) static feature context of ``aig``.
 
     The context is invalidated by any structural edit (via the modification
-    counter) or by a change of operation parameters.  ``analysis`` may be
-    passed in to avoid recomputing the transformability analysis when it is
-    already at hand (e.g. from the priority-guided sampler); it must agree
-    with ``params``, which holds for every in-tree caller since the analysis
-    is a deterministic function of the network and the parameters.
+    counter) or by a change of operation parameters.
     """
-    tag = (aig.modification_count, _params_tag(params), undirected)
+    tag = (aig.modification_count, params_tag(params), undirected)
     entry = _CONTEXT_CACHE.get(aig)
     if entry is not None and entry[0] == tag:
         return entry[1]
     encoding = encode_graph(aig, undirected=undirected)
-    static = static_feature_matrix(aig, encoding, analysis=analysis, params=params)
+    static = static_feature_matrix(aig, encoding, params=params)
     context = FeatureContext(
         design=aig.name,
         version=aig.modification_count,

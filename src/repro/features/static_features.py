@@ -25,28 +25,22 @@ import numpy as np
 from repro.aig.aig import Aig
 from repro.aig.literals import lit_is_compl
 from repro.features.encoding import GraphEncoding, PI_SENTINEL, scatter_features
-from repro.orchestration.transformability import (
-    NodeTransformability,
-    OperationParams,
-    analyze_network,
-)
+from repro.orchestration.transformability import OperationParams, analyze_network
 
 #: Width of the static feature vector.
 STATIC_FEATURE_DIM = 8
 
 
 def static_node_features(
-    aig: Aig,
-    analysis: Optional[Dict[int, NodeTransformability]] = None,
-    params: Optional[OperationParams] = None,
+    aig: Aig, params: Optional[OperationParams] = None
 ) -> Dict[int, np.ndarray]:
     """Return the 8-dimensional static feature vector of every AND node.
 
-    ``analysis`` may be passed in when the transformability of the network has
-    already been computed (for instance by the priority-guided sampler) to
-    avoid doing the work twice.
+    The transformability bits come from the memoized
+    :func:`~repro.orchestration.transformability.analyze_network`, so the
+    analysis the priority-guided sampler already ran is not repeated.
     """
-    analysis = analysis if analysis is not None else analyze_network(aig, params)
+    analysis = analyze_network(aig, params)
     features: Dict[int, np.ndarray] = {}
     for node in aig.nodes():
         info = analysis.get(node)
@@ -70,7 +64,6 @@ def static_node_features(
 def static_feature_matrix(
     aig: Aig,
     encoding: GraphEncoding,
-    analysis: Optional[Dict[int, NodeTransformability]] = None,
     params: Optional[OperationParams] = None,
 ) -> np.ndarray:
     """Return the ``(num_nodes, 8)`` static feature matrix aligned with ``encoding``.
@@ -78,5 +71,5 @@ def static_feature_matrix(
     Primary-input rows are filled with the ``-99`` sentinel, exactly as in the
     paper's embedding example.
     """
-    per_node = static_node_features(aig, analysis=analysis, params=params)
+    per_node = static_node_features(aig, params=params)
     return scatter_features(encoding, per_node, STATIC_FEATURE_DIM, pi_value=PI_SENTINEL)

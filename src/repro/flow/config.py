@@ -52,8 +52,9 @@ class FlowConfig:
     prebatch: bool = True
     #: Compute backend for the numeric inner loops: ``None`` defers to the
     #: ``BOOLGEBRA_BACKEND`` environment variable (default ``"auto"``),
-    #: otherwise ``"reference"``, ``"accelerated"`` or ``"auto"``.  Every
-    #: backend is gated bit-identical, so this changes speed, never results.
+    #: otherwise ``"reference"``, ``"accelerated"``, ``"native"`` or
+    #: ``"auto"``.  Every backend is gated bit-identical, so this changes
+    #: speed, never results.
     backend: Optional[str] = None
     #: Architecture of the GNN predictor.
     model: ModelConfig = field(default_factory=ModelConfig.paper)

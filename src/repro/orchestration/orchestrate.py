@@ -11,12 +11,14 @@ Section III-B of the paper (which is implemented inside ABC by the authors).
 from __future__ import annotations
 
 import time
+import weakref
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.aig.aig import Aig
 from repro.orchestration.decision import DecisionVector, Operation
-from repro.orchestration.transformability import OperationParams, find_candidate
+from repro.orchestration.transformability import OperationParams, find_candidate, params_tag
+from repro.synth.sweep import CandidateTable, sweep_decisions
 
 
 @dataclass
@@ -107,6 +109,35 @@ class OrchestrationResult:
         )
 
 
+#: source aig -> ((structure version, params tag), candidate table of its copies).
+_COPY_TABLES: "weakref.WeakKeyDictionary[Aig, tuple]" = weakref.WeakKeyDictionary()
+
+
+def copy_candidate_table(aig: Aig, params: Optional[OperationParams] = None) -> CandidateTable:
+    """The first-sweep candidate table shared by every copy of ``aig``.
+
+    Maps ``(copy node, "rw" | "rs" | "rf")`` to the finder's candidate on an
+    unmutated :meth:`~repro.aig.aig.Aig.copy_with_mapping` copy (``None``
+    when the node is not transformable); sweep scoring fills it lazily.  It
+    is sound because every copy of an unchanged network is built by the same
+    deterministic sequence, so copies agree on node ids, fanins and fanout
+    iteration order, and because a candidate holds only ints and fragments:
+    ``apply`` and ``revalidate`` take the target network as an argument.
+    Kept apart from :func:`~repro.orchestration.transformability.analyze_network`
+    of the source itself, whose fanout order depends on its own
+    construction history.  Rebuilt after a structural edit of ``aig`` or
+    under different parameters.  Concurrent fills need no lock: an entry
+    is a deterministic function of its key, so a race only repeats a
+    finder call.
+    """
+    tag = (aig.modification_count, params_tag(params))
+    entry = _COPY_TABLES.get(aig)
+    if entry is None or entry[0] != tag:
+        entry = (tag, {})
+        _COPY_TABLES[aig] = entry
+    return entry[1]
+
+
 def orchestrate(
     aig: Aig,
     decisions: DecisionVector,
@@ -125,7 +156,10 @@ def orchestrate(
     decisions:
         Per-node operation assignment; nodes without an assignment are skipped.
     params:
-        Optional tuning parameters for the underlying operations.
+        Optional tuning parameters for the underlying operations.  With
+        ``in_place=False`` the first sweep reads and fills
+        :func:`copy_candidate_table`, so many decision vectors on one
+        unchanged design score each (node, operation) once.
     strategy:
         ``"sweep"`` (default) scores every assigned node against one frozen
         kernel snapshot and commits a maximal footprint-disjoint set of
@@ -173,9 +207,8 @@ def orchestrate(
         # Batched rendering: score the assigned operation of every node
         # against one frozen snapshot, commit footprint-disjoint winners,
         # repeat until no candidate commits.
-        from repro.synth.sweep import sweep_decisions
-
-        report = sweep_decisions(target, decisions, params)
+        table = None if in_place else copy_candidate_table(aig, params)
+        report = sweep_decisions(target, decisions, params, table=table)
         for candidate in report.committed:
             operation = decisions.get(candidate.node)
             if operation is None:  # pragma: no cover - defensive

@@ -134,15 +134,12 @@ class PriorityGuidedSampler:
         self.max_fraction = max_fraction
         self.params = params or OperationParams()
         self._nodes = list(aig.nodes())
-        self._analysis: Optional[Dict[int, NodeTransformability]] = None
 
     # ------------------------------------------------------------------ #
     @property
     def analysis(self) -> Dict[int, NodeTransformability]:
-        """Per-node transformability of the three operations (computed lazily)."""
-        if self._analysis is None:
-            self._analysis = analyze_network(self.aig, self.params)
-        return self._analysis
+        """Per-node transformability of the three operations (memoized per design)."""
+        return analyze_network(self.aig, self.params)
 
     def base_sample(self, rng: Optional[random.Random] = None) -> DecisionVector:
         """Return the priority-guided base assignment.
@@ -153,9 +150,10 @@ class PriorityGuidedSampler:
         the dynamic features well defined).
         """
         rng = rng or random.Random(self.seed)
+        analysis = self.analysis
         decisions = DecisionVector()
         for node in self._nodes:
-            info = self.analysis.get(node)
+            info = analysis.get(node)
             chosen: Optional[Operation] = None
             if info is not None:
                 for operation in self.priority:

@@ -9,6 +9,8 @@ running the non-mutating candidate finders of :mod:`repro.synth`.
 
 from __future__ import annotations
 
+import dataclasses
+import weakref
 from dataclasses import dataclass
 from typing import Dict, Optional
 
@@ -33,6 +35,17 @@ class OperationParams:
         self.rewrite = self.rewrite or RewriteParams()
         self.resub = self.resub or ResubParams()
         self.refactor = self.refactor or RefactorParams()
+
+
+def params_tag(params: Optional[OperationParams]) -> str:
+    """Deterministic textual tag of the operation parameters.
+
+    The shared cache key of every per-design memo derived from the
+    candidate finders (transformability analysis, copy candidate tables,
+    feature contexts): two parameter bundles with equal tags yield equal
+    finder results.
+    """
+    return repr(dataclasses.asdict(params or OperationParams()))
 
 
 @dataclass
@@ -123,12 +136,30 @@ def analyze_node(
     )
 
 
+#: aig -> ((structure version, params tag), analysis); weak keys so the
+#: analysis dies with its design.
+_ANALYSIS_CACHE: "weakref.WeakKeyDictionary[Aig, tuple]" = weakref.WeakKeyDictionary()
+
+
 def analyze_network(
     aig: Aig, params: Optional[OperationParams] = None
 ) -> Dict[int, NodeTransformability]:
-    """Run :func:`analyze_node` over every AND node (used for static features)."""
+    """Run :func:`analyze_node` over every AND node (used for static features).
+
+    The result is cached per network and recomputed only after a structural
+    edit (the modification counter advances) or under different operation
+    parameters, so the sampler and the static features of one design share
+    a single analysis.  The returned mapping is shared and MUST NOT be
+    mutated.
+    """
+    tag = (aig.modification_count, params_tag(params))
+    entry = _ANALYSIS_CACHE.get(aig)
+    if entry is not None and entry[0] == tag:
+        return entry[1]
     params = params or OperationParams()
-    return {
+    analysis = {
         node: analyze_node(aig, node, params)
         for node in cached_topological_order(aig)
     }
+    _ANALYSIS_CACHE[aig] = (tag, analysis)
+    return analysis

@@ -18,7 +18,7 @@ across backends.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from repro.aig.aig import Aig
 from repro.features.dataset import BoolGebraDataset, build_dataset
@@ -66,30 +66,22 @@ def sample_records(
     evaluator=None,
     store: Optional[ArtifactStore] = None,
     key: Optional[str] = None,
-) -> Tuple[List[SampleRecord], Optional[dict]]:
-    """Draw and evaluate ``num_samples`` decision vectors, cache-backed.
-
-    Returns ``(records, analysis)``; ``analysis`` is the transformability
-    analysis of the guided sampler when it was computed fresh (``None`` on a
-    cache hit — the consumers recompute it deterministically when needed).
-    """
+) -> List[SampleRecord]:
+    """Draw and evaluate ``num_samples`` decision vectors, cache-backed."""
     key = key or dataset_key(aig, num_samples, guided, seed, params=params)
     if store is not None:
         cached = store.load_samples(key)
         if cached is not None:
-            return cached, None
+            return cached
     if guided:
         sampler = PriorityGuidedSampler(aig, seed=seed, params=params)
-        vectors = sampler.generate(num_samples)
-        analysis = sampler.analysis
     else:
         sampler = RandomSampler(aig, seed=seed)
-        vectors = sampler.generate(num_samples)
-        analysis = None
+    vectors = sampler.generate(num_samples)
     records = evaluate_samples(aig, vectors, params=params, evaluator=evaluator)
     if store is not None:
         store.save_samples(key, records)
-    return records, analysis
+    return records
 
 
 def dataset_for(
@@ -112,7 +104,7 @@ def dataset_for(
         cached = store.load_dataset(key)
         if cached is not None:
             return cached
-    records, analysis = sample_records(
+    records = sample_records(
         aig,
         num_samples,
         guided,
@@ -122,7 +114,7 @@ def dataset_for(
         store=store,
         key=key,
     )
-    dataset = build_dataset(aig, records, analysis=analysis, params=params)
+    dataset = build_dataset(aig, records, params=params)
     dataset.cache_key = key
     if store is not None:
         store.save_dataset(key, dataset)

@@ -100,6 +100,24 @@ class SweepReport:
 #: A scorer maps (network, node subset or None) to {node: best candidate}.
 Scorer = Callable[[Aig, Optional[Set[int]]], Dict[int, TransformCandidate]]
 
+#: Per-node finder results keyed by ``(node, "rw" | "rs" | "rf")``, ``None``
+#: recording "not transformable".  Shared by the first sweeps of identical,
+#: unmutated networks (see
+#: :func:`repro.orchestration.orchestrate.copy_candidate_table`).
+CandidateTable = Dict[Tuple[int, str], Optional[TransformCandidate]]
+
+_UNSCORED = object()
+
+
+def _find(table: Optional[CandidateTable], node: int, operation: str, finder, *args, **kwargs):
+    """``finder(*args, **kwargs)``, looked up in (and recorded into) ``table``."""
+    if table is None:
+        return finder(*args, **kwargs)
+    candidate = table.get((node, operation), _UNSCORED)
+    if candidate is _UNSCORED:
+        candidate = table[(node, operation)] = finder(*args, **kwargs)
+    return candidate
+
 
 # --------------------------------------------------------------------------- #
 # Batched cut truth tables
@@ -161,6 +179,7 @@ def score_rewrites(
     nodes: Optional[Set[int]] = None,
     params: Optional[RewriteParams] = None,
     sweep_params: Optional[SweepParams] = None,
+    table: Optional[CandidateTable] = None,
 ) -> Dict[int, TransformCandidate]:
     """Best rewriting candidate per node, scored against one frozen snapshot.
 
@@ -173,6 +192,7 @@ def score_rewrites(
     most cut leaf combinations are structurally unreachable under random
     simulation anyway, so an upfront batched extraction wastes nearly all
     of its work on tables that are either incomplete or never consulted.
+    ``table`` memoizes the small-target finder calls only.
     """
     del sweep_params
     params = params or RewriteParams()
@@ -184,7 +204,7 @@ def score_rewrites(
         # finder beats re-running the global enumeration.
         candidates = {}
         for node in targets:
-            candidate = find_rewrite_candidate(aig, node, params)
+            candidate = _find(table, node, "rw", find_rewrite_candidate, aig, node, params)
             if candidate is not None:
                 candidates[node] = candidate
         return candidates
@@ -237,6 +257,7 @@ def score_refactors(
     nodes: Optional[Set[int]] = None,
     params: Optional[RefactorParams] = None,
     sweep_params: Optional[SweepParams] = None,
+    table: Optional[CandidateTable] = None,
 ) -> Dict[int, TransformCandidate]:
     """Best refactoring candidate per node against one frozen snapshot.
 
@@ -244,7 +265,8 @@ def score_refactors(
     nodes whose *global* MFFC (an upper bound on any cut-bounded MFFC) is
     already below ``min_cone_size`` are skipped before the expensive
     collapse-and-factor pipeline, and factored fragments are memoized by
-    truth table across nodes and sweeps.
+    truth table across nodes and sweeps.  ``table`` memoizes the finder
+    calls that pass the prefilter.
     """
     del sweep_params
     params = params or RefactorParams()
@@ -256,8 +278,9 @@ def score_refactors(
             continue
         if len(view.mffc_nodes(node)) < params.min_cone_size:
             continue
-        candidate = find_refactor_candidate(
-            aig, node, params, fragment_cache=_REFACTOR_FRAGMENTS
+        candidate = _find(
+            table, node, "rf", find_refactor_candidate,
+            aig, node, params, fragment_cache=_REFACTOR_FRAGMENTS,
         )
         if candidate is not None:
             candidates[node] = candidate
@@ -295,6 +318,7 @@ def score_resubs(
     nodes: Optional[Set[int]] = None,
     params: Optional[ResubParams] = None,
     sweep_params: Optional[SweepParams] = None,
+    table: Optional[CandidateTable] = None,
 ) -> Dict[int, TransformCandidate]:
     """Best resubstitution candidate per node against one frozen snapshot.
 
@@ -303,7 +327,8 @@ def score_resubs(
     freed MFFC larger than the nodes it adds (the global MFFC bounds every
     cut-bounded MFFC from above), and 0-resub needs another node with an
     identical-or-complemented global signature (see
-    :func:`_signature_classes`).
+    :func:`_signature_classes`).  ``table`` memoizes the finder calls that
+    pass both prefilters.
     """
     params = params or ResubParams()
     sweep_params = sweep_params or SweepParams()
@@ -322,7 +347,7 @@ def score_resubs(
         may_zero = classes.get(keys[node], 0) > 1 and global_mffc >= min_gain
         if not (may_add_nodes or may_zero):
             continue
-        candidate = find_resub_candidate(aig, node, params)
+        candidate = _find(table, node, "rs", find_resub_candidate, aig, node, params)
         if candidate is not None:
             candidates[node] = candidate
     return candidates
@@ -477,6 +502,7 @@ def sweep_decisions(
     decisions,
     operation_params=None,
     sweep_params: Optional[SweepParams] = None,
+    table: Optional[CandidateTable] = None,
 ) -> SweepReport:
     """Batched application of a per-node decision vector (Algorithm 1).
 
@@ -485,6 +511,11 @@ def sweep_decisions(
     footprint-disjoint set per sweep.  Used by
     :func:`repro.orchestration.orchestrate.orchestrate` under
     ``strategy="sweep"``.
+
+    ``table`` serves the first (full) scoring only, the one sweep that sees
+    ``aig`` unmutated: the caller guarantees its entries were found on a
+    network identical to ``aig``.  Rescore sweeps run on the mutated network
+    and always call the finders.
     """
     from repro.orchestration.decision import Operation
     from repro.orchestration.transformability import OperationParams
@@ -497,6 +528,8 @@ def sweep_decisions(
         for node, operation in decisions.items():
             if (nodes is None or node in nodes) and target.has_node(node) and target.is_and(node):
                 by_operation[operation].add(node)
+        # run_sweeps passes nodes=None exactly once: the first scoring.
+        first = table if nodes is None else None
         candidates: Dict[int, TransformCandidate] = {}
         if by_operation[Operation.REWRITE]:
             candidates.update(
@@ -505,6 +538,7 @@ def sweep_decisions(
                     by_operation[Operation.REWRITE],
                     operation_params.rewrite,
                     sweep_params,
+                    table=first,
                 )
             )
         if by_operation[Operation.RESUB]:
@@ -514,11 +548,17 @@ def sweep_decisions(
                     by_operation[Operation.RESUB],
                     operation_params.resub,
                     sweep_params,
+                    table=first,
                 )
             )
         if by_operation[Operation.REFACTOR]:
             candidates.update(
-                score_refactors(target, by_operation[Operation.REFACTOR], operation_params.refactor)
+                score_refactors(
+                    target,
+                    by_operation[Operation.REFACTOR],
+                    operation_params.refactor,
+                    table=first,
+                )
             )
         return candidates
 

@@ -236,7 +236,7 @@ def training_samples():
     aig = paper_example_aig()
     sampler = PriorityGuidedSampler(aig, seed=1)
     records = evaluate_samples(aig, sampler.generate(12))
-    return build_dataset(aig, records, analysis=sampler.analysis).samples
+    return build_dataset(aig, records).samples
 
 
 def _train(samples, backend, method):

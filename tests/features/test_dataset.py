@@ -42,7 +42,7 @@ def test_normalized_labels_match_paper_example():
 
 def test_build_dataset_shapes_and_labels(example_aig):
     sampler, records = _records(example_aig)
-    dataset = build_dataset(example_aig, records, analysis=sampler.analysis)
+    dataset = build_dataset(example_aig, records)
     assert len(dataset) == len(records)
     assert dataset.design == example_aig.name
     for sample in dataset:
@@ -63,7 +63,7 @@ def test_build_dataset_rejects_unevaluated_records(example_aig):
 
 def test_dataset_split(example_aig):
     sampler, records = _records(example_aig, count=8)
-    dataset = build_dataset(example_aig, records, analysis=sampler.analysis)
+    dataset = build_dataset(example_aig, records)
     train, test = dataset.split(0.75, seed=1)
     assert len(train) + len(test) == len(dataset)
     assert len(train) >= len(test)
@@ -72,14 +72,14 @@ def test_dataset_split(example_aig):
 
 def test_dataset_split_bounds(example_aig):
     sampler, records = _records(example_aig, count=4)
-    dataset = build_dataset(example_aig, records, analysis=sampler.analysis)
+    dataset = build_dataset(example_aig, records)
     with pytest.raises(ValueError):
         dataset.split(1.5)
 
 
 def test_static_part_is_shared_across_samples(example_aig):
     sampler, records = _records(example_aig, count=3)
-    dataset = build_dataset(example_aig, records, analysis=sampler.analysis)
+    dataset = build_dataset(example_aig, records)
     static_parts = [sample.features[:, :8] for sample in dataset]
     assert np.array_equal(static_parts[0], static_parts[1])
     assert np.array_equal(static_parts[1], static_parts[2])
@@ -87,7 +87,7 @@ def test_static_part_is_shared_across_samples(example_aig):
 
 def test_dynamic_part_differs_between_samples(example_aig):
     sampler, records = _records(example_aig, count=4, seed=3)
-    dataset = build_dataset(example_aig, records, analysis=sampler.analysis)
+    dataset = build_dataset(example_aig, records)
     dynamic_parts = [sample.features[:, 8:] for sample in dataset]
     assert any(
         not np.array_equal(dynamic_parts[0], other) for other in dynamic_parts[1:]
@@ -96,6 +96,6 @@ def test_dynamic_part_differs_between_samples(example_aig):
 
 def test_getitem_and_iteration(example_aig):
     sampler, records = _records(example_aig, count=3)
-    dataset = build_dataset(example_aig, records, analysis=sampler.analysis)
+    dataset = build_dataset(example_aig, records)
     assert dataset[0] is dataset.samples[0]
     assert list(iter(dataset)) == dataset.samples

@@ -31,7 +31,7 @@ def test_edge_complement_bits():
 
 def test_transformability_bits_match_analysis(example_aig):
     analysis = analyze_network(example_aig)
-    features = static_node_features(example_aig, analysis=analysis)
+    features = static_node_features(example_aig)
     for node, info in analysis.items():
         vector = features[node]
         assert vector[2] == float(info.rewrite_applicable)

@@ -12,7 +12,7 @@ from repro.orchestration.sampling import PriorityGuidedSampler, evaluate_samples
 def dataset(example_aig):
     sampler = PriorityGuidedSampler(example_aig, seed=0)
     records = evaluate_samples(example_aig, sampler.generate(4))
-    return build_dataset(example_aig, records, analysis=sampler.analysis)
+    return build_dataset(example_aig, records)
 
 
 def test_batch_shapes(dataset):

@@ -17,7 +17,7 @@ def dataset():
     aig = paper_example_aig()
     sampler = PriorityGuidedSampler(aig, seed=0)
     records = evaluate_samples(aig, sampler.generate(6))
-    return build_dataset(aig, records, analysis=sampler.analysis)
+    return build_dataset(aig, records)
 
 
 @pytest.fixture

@@ -16,7 +16,7 @@ def dataset():
     aig = paper_example_aig()
     sampler = PriorityGuidedSampler(aig, seed=1)
     records = evaluate_samples(aig, sampler.generate(10))
-    return build_dataset(aig, records, analysis=sampler.analysis)
+    return build_dataset(aig, records)
 
 
 def _tiny_trainer(epochs=20, seed=0):

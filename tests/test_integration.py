@@ -56,7 +56,7 @@ def test_orchestrated_samples_beat_random_baseline_quality(design, guided_record
 @pytest.mark.slow
 def test_dataset_to_training_to_selection_pipeline(design, guided_records):
     sampler, records = guided_records
-    dataset = build_dataset(design, records, analysis=sampler.analysis)
+    dataset = build_dataset(design, records)
     trainer = Trainer(
         config=TrainingConfig.fast(epochs=15, seed=0),
         model_config=ModelConfig.small(),
