@@ -223,11 +223,10 @@ SPEEDUP_CLAMPS = {
     # so the clamp reports a stable 2.0 on healthy runs while a fleet that
     # stops scaling out still falls through and trips the gate.
     "service_scaleout": 2.0,
-    # Native-backend sweep vs the sequential reference: the measured full
-    # aggregate sits around 3.4x but breathes ~±0.15 with machine noise
-    # (the sequential side alone varies that much between healthy runs);
-    # the acceptance bar is >=3x, so the clamp reports a stable 3.0 while a
-    # compiled engine that stops engaging still falls through the gate.
+    # Native-backend sweep vs the sequential reference.  Since both sides
+    # read the same process-wide fragment memo, the raw ratio sits around
+    # 1.3x (smoke) to 1.7x (full), so this clamp no longer engages; the
+    # gate compares the raw ratio against its committed baseline.
     "pass_sweep": 3.0,
     # Both sides of the observability-drag measurement run the same pipeline
     # (one with the metric seams nulled), so the healthy ratio is ~1.0 with

@@ -15,7 +15,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-from repro.aig.truth import cached_table_var, table_mask
+from repro.aig.truth import table_mask
 
 
 @dataclass(frozen=True)
@@ -76,11 +76,15 @@ def _transforms(num_vars: int) -> List[NpnTransform]:
 def _transform_matrices(num_vars: int) -> tuple:
     """Precompute, for every transform, the source minterm of each result minterm.
 
-    Returns ``(source_index_matrix, output_negation_vector, weights)`` where
-    ``source_index_matrix[t, m]`` is the minterm of the *input* table that
-    transform ``t`` reads to produce result minterm ``m``.  With these matrices
-    canonicalizing a table reduces to one fancy-indexing operation, which is
-    what makes on-the-fly library construction affordable.
+    Returns ``(source_index_matrix, output_negation_masks, weights, shifts)``
+    where ``source_index_matrix[t, m]`` is the minterm of the *input* table
+    that transform ``t`` reads to produce result minterm ``m``,
+    ``output_negation_masks[t]`` is the table mask when transform ``t``
+    negates the output (else 0), ``weights`` is ``1 << arange(2**n)`` and
+    ``shifts`` is ``arange(2**n)``, all int64.  With these matrices
+    canonicalizing a table reduces to one fancy-indexing operation and one
+    int64 matrix-vector product, which is what makes on-the-fly library
+    construction affordable.
     """
     import numpy as np
 
@@ -92,7 +96,8 @@ def _transform_matrices(num_vars: int) -> tuple:
     sources = np.zeros((len(transforms), num_minterms), dtype=np.int64)
     negations = np.zeros(len(transforms), dtype=np.int64)
     for t_index, transform in enumerate(transforms):
-        negations[t_index] = int(transform.output_negation)
+        if transform.output_negation:
+            negations[t_index] = table_mask(num_vars)
         for minterm in range(num_minterms):
             source = 0
             for slot in range(num_vars):
@@ -102,8 +107,8 @@ def _transform_matrices(num_vars: int) -> tuple:
                     bit ^= 1
                 source |= bit << original
             sources[t_index, minterm] = source
-    weights = (1 << np.arange(num_minterms, dtype=np.object_))
-    cached = (sources, negations, weights)
+    shifts = np.arange(num_minterms, dtype=np.int64)
+    cached = (sources, negations, np.left_shift(1, shifts), shifts)
     _TRANSFORM_MATRIX_CACHE[num_vars] = cached
     return cached
 
@@ -119,15 +124,14 @@ def npn_canonical(table: int, num_vars: int) -> Tuple[int, NpnTransform]:
         raise ValueError("exhaustive NPN canonicalization is limited to 4 variables")
     import numpy as np
 
-    transforms = _transforms(num_vars)
-    sources, negations, weights = _transform_matrices(num_vars)
-    num_minterms = 1 << num_vars
-    bits = np.array([(table >> m) & 1 for m in range(num_minterms)], dtype=np.int64)
-    candidates = bits[sources]  # (num_transforms, num_minterms)
-    candidates ^= negations[:, None]
-    values = candidates.astype(np.object_) @ weights
+    sources, negations, weights, shifts = _transform_matrices(num_vars)
+    # Bits above the table are ignored; masking first also keeps an
+    # oversized Python int from overflowing int64.
+    bits = (np.int64(table & table_mask(num_vars)) >> shifts) & 1
+    values = bits[sources] @ weights  # (num_transforms,)
+    values ^= negations
     best_index = int(np.argmin(values))
-    return int(values[best_index]), transforms[best_index]
+    return int(values[best_index]), _transforms(num_vars)[best_index]
 
 
 def npn_class_count(num_vars: int, sample_limit: int = 1 << 16) -> int:

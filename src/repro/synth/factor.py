@@ -13,16 +13,10 @@ into an AIG replacement fragment (:mod:`repro.synth.fragment`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.aig.truth import table_mask
-from repro.synth.sop import (
-    Cover,
-    Cube,
-    cube_from_literals,
-    divide_by_literal,
-    literal_counts,
-)
+from repro.synth.sop import Cover, pair_literal_counts
 
 
 @dataclass(frozen=True)
@@ -98,52 +92,75 @@ class Expr:
 
 def factor_cover(cover: Cover) -> Expr:
     """Return a factored form of the cover using quick (literal-based) factoring."""
-    if not cover:
+    return factor_pairs([(cube.pos, cube.neg) for cube in cover])
+
+
+def factor_pairs(cubes: List[Tuple[int, int]]) -> Expr:
+    """:func:`factor_cover` of a cover given as ``(pos, neg)`` int pairs."""
+    if not cubes:
         return Expr.const0()
-    if any(cube.is_tautology() for cube in cover):
-        return Expr.const1()
-    if len(cover) == 1:
-        return _cube_expr(cover[0])
+    for pos, neg in cubes:
+        if not (pos | neg):
+            return Expr.const1()
+    if len(cubes) == 1:
+        return _cube_expr(*cubes[0])
 
     # 1. Extract the largest common cube shared by every product term.
-    common_pos = cover[0].pos
-    common_neg = cover[0].neg
-    for cube in cover[1:]:
-        common_pos &= cube.pos
-        common_neg &= cube.neg
+    common_pos = common_neg = -1
+    for pos, neg in cubes:
+        common_pos &= pos
+        common_neg &= neg
     if common_pos or common_neg:
-        common = Cube(common_pos, common_neg)
-        reduced = [
-            Cube(cube.pos & ~common_pos, cube.neg & ~common_neg) for cube in cover
-        ]
-        return Expr.and_([_cube_expr(common), factor_cover(reduced)])
+        reduced = [(pos ^ common_pos, neg ^ common_neg) for pos, neg in cubes]
+        return Expr.and_([_cube_expr(common_pos, common_neg), factor_pairs(reduced)])
 
     # 2. Divide by the most frequent literal (when it appears more than once).
-    num_vars = max((cube.pos | cube.neg) for cube in cover).bit_length()
-    counts = literal_counts(cover, num_vars)
+    num_vars = max(pos | neg for pos, neg in cubes).bit_length()
+    positive, negative = pair_literal_counts(cubes, num_vars)
     best_var, best_negative, best_count = -1, False, 1
-    for var, (positive, negative) in enumerate(counts):
-        if positive > best_count:
-            best_var, best_negative, best_count = var, False, positive
-        if negative > best_count:
-            best_var, best_negative, best_count = var, True, negative
+    for var in range(num_vars):
+        if positive[var] > best_count:
+            best_var, best_negative, best_count = var, False, positive[var]
+        if negative[var] > best_count:
+            best_var, best_negative, best_count = var, True, negative[var]
     if best_var < 0:
         # No sharing opportunities: emit the flat SOP.
-        return Expr.or_([_cube_expr(cube) for cube in cover])
+        return Expr.or_([_cube_expr(pos, neg) for pos, neg in cubes])
 
-    quotient, remainder = divide_by_literal(cover, best_var, best_negative)
-    divided = Expr.and_(
-        [Expr.literal(best_var, best_negative), factor_cover(quotient)]
-    )
+    bit = 1 << best_var
+    quotient: List[Tuple[int, int]] = []
+    remainder: List[Tuple[int, int]] = []
+    for pos, neg in cubes:
+        if (neg if best_negative else pos) & bit:
+            quotient.append((pos, neg ^ bit) if best_negative else (pos ^ bit, neg))
+        else:
+            remainder.append((pos, neg))
+    divided = Expr.and_([_literal(best_var, best_negative), factor_pairs(quotient)])
     if not remainder:
         return divided
-    return Expr.or_([divided, factor_cover(remainder)])
+    return Expr.or_([divided, factor_pairs(remainder)])
 
 
-def _cube_expr(cube: Cube) -> Expr:
-    literals = [Expr.literal(var, negated) for var, negated in cube.literals()]
-    if not literals:
-        return Expr.const1()
+_LITERALS: Dict[Tuple[int, bool], Expr] = {}
+
+
+def _literal(var: int, negated: bool) -> Expr:
+    """Shared literal leaves (expressions are immutable, so sharing is safe)."""
+    key = (var, negated)
+    expr = _LITERALS.get(key)
+    if expr is None:
+        expr = _LITERALS[key] = Expr.literal(var, negated)
+    return expr
+
+
+def _cube_expr(pos: int, neg: int) -> Expr:
+    """The conjunction of a cube's literals, in increasing variable order."""
+    literals = []
+    support = pos | neg
+    while support:
+        low = support & -support
+        literals.append(_literal(low.bit_length() - 1, bool(neg & low)))
+        support ^= low
     return Expr.and_(literals)
 
 
@@ -168,6 +185,7 @@ def expr_truth_table(expr: Expr, num_vars: int) -> int:
 
 def factor_truth_table(table: int, num_vars: int) -> Expr:
     """ISOP + quick factoring of a completely specified function."""
-    from repro.synth.isop import isop_cover
+    from repro.synth.isop import isop_pairs
 
-    return factor_cover(isop_cover(table, num_vars))
+    table &= table_mask(num_vars)
+    return factor_pairs(isop_pairs(table, table, num_vars))

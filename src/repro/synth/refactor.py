@@ -19,19 +19,42 @@ from repro.aig.literals import lit, lit_not
 from repro.aig.reconv_cut import reconvergence_driven_cut
 from repro.aig.truth import cut_truth_table, table_mask
 from repro.synth.candidates import TransformCandidate
-from repro.synth.factor import factor_cover
+from repro.synth.factor import factor_pairs
 from repro.synth.fragment import Fragment
-from repro.synth.isop import isop_cover
+from repro.synth.isop import isop_pairs
 from repro.synth.mffc import mffc_nodes
 
 
+#: Process-wide memo of factored refactoring fragments, keyed by
+#: ``(truth table, num_vars)``: the refactoring analog of the rewriting
+#: library, shared by every caller (sweep scoring, sequential passes,
+#: transformability analysis, the rewriting library's own synthesis).  Cone
+#: functions recur heavily across nodes, passes and sweeps, and the factored
+#: form is a pure function of the table.  Fragments are mutated only while
+#: :func:`_factor_both_polarities` builds them, so sharing them is safe.
+_REFACTOR_FRAGMENTS: Dict[Tuple[int, int], Fragment] = {}
+
+
 def refactor_fragment(table: int, num_vars: int) -> Fragment:
-    """Factor ``table`` in both polarities and return the cheaper fragment."""
+    """Factor ``table`` in both polarities and return the cheaper fragment.
+
+    Memoized in :data:`_REFACTOR_FRAGMENTS`; the returned fragment is shared
+    and must not be mutated.
+    """
+    key = (table & table_mask(num_vars), num_vars)
+    fragment = _REFACTOR_FRAGMENTS.get(key)
+    if fragment is None:
+        fragment = _REFACTOR_FRAGMENTS[key] = _factor_both_polarities(*key)
+    return fragment
+
+
+def _factor_both_polarities(table: int, num_vars: int) -> Fragment:
     positive = Fragment.from_expression(
-        factor_cover(isop_cover(table, num_vars)), num_vars
+        factor_pairs(isop_pairs(table, table, num_vars)), num_vars
     )
+    complement = table ^ table_mask(num_vars)
     negative = Fragment.from_expression(
-        factor_cover(isop_cover(table ^ table_mask(num_vars), num_vars)), num_vars
+        factor_pairs(isop_pairs(complement, complement, num_vars)), num_vars
     )
     negative.output = lit_not(negative.output)
     return positive if positive.size <= negative.size else negative
@@ -54,16 +77,8 @@ def find_refactor_candidate(
     aig: Aig,
     node: int,
     params: Optional[RefactorParams] = None,
-    fragment_cache: Optional[Dict[Tuple[int, int], Fragment]] = None,
 ) -> Optional[TransformCandidate]:
-    """Return a refactoring candidate at ``node`` or ``None`` (non-mutating).
-
-    ``fragment_cache`` optionally memoizes the factored fragments by
-    ``(table, num_vars)`` — the refactoring analog of the rewriting library,
-    used by the batched sweep scorer where the same cone functions recur
-    across nodes and sweeps.  The cache never changes the result (the
-    factored form is a pure function of the table).
-    """
+    """Return a refactoring candidate at ``node`` or ``None`` (non-mutating)."""
     params = params or RefactorParams()
     if not aig.is_and(node):
         return None
@@ -76,15 +91,7 @@ def find_refactor_candidate(
     num_vars = len(leaves)
     table = cut_truth_table(aig, node, leaves)
 
-    # Factor both polarities and keep the cheaper implementation.
-    if fragment_cache is None:
-        fragment = refactor_fragment(table, num_vars)
-    else:
-        key = (table, num_vars)
-        fragment = fragment_cache.get(key)
-        if fragment is None:
-            fragment = refactor_fragment(table, num_vars)
-            fragment_cache[key] = fragment
+    fragment = refactor_fragment(table, num_vars)
 
     leaf_literals = [lit(leaf) for leaf in leaves]
     budget = len(deref) - params.effective_min_gain()

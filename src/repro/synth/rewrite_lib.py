@@ -5,7 +5,9 @@ implementation of the same Boolean function.  ABC ships a hard-coded library
 of optimal 4-input structures; here the library is synthesized on demand —
 each truth table is converted to an irredundant SOP, algebraically factored
 (both polarities, the cheaper one wins), turned into a :class:`Fragment` and
-cached.  Because at most ``2^16`` distinct 4-input functions exist (and far
+cached.  The synthesis itself is
+:func:`~repro.synth.refactor.refactor_fragment`, whose memo refactoring
+shares.  Because at most ``2^16`` distinct 4-input functions exist (and far
 fewer occur in practice), the cache quickly converges to a fixed library.
 
 NPN canonicalization (:mod:`repro.aig.npn`) is used to share cache entries
@@ -15,14 +17,12 @@ synthesized structures near the 222 NPN classes of 4-variable logic.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
-from repro.aig.literals import lit_not
-from repro.aig.npn import NpnTransform, apply_transform, npn_canonical
+from repro.aig.npn import NpnTransform, npn_canonical
 from repro.aig.truth import table_mask, table_support
-from repro.synth.factor import Expr, factor_cover
 from repro.synth.fragment import Fragment
-from repro.synth.isop import isop_cover
+from repro.synth.refactor import refactor_fragment
 
 
 class RewriteLibrary:
@@ -62,27 +62,16 @@ class RewriteLibrary:
             return fragment
         if self.use_npn and num_vars <= 4:
             return self._synthesize_npn(table, num_vars)
-        return self._factor_both_polarities(table, num_vars)
+        return refactor_fragment(table, num_vars)
 
     def _synthesize_npn(self, table: int, num_vars: int) -> Fragment:
         canonical, transform = npn_canonical(table, num_vars)
         class_key = (canonical, num_vars)
         canonical_fragment = self._by_class.get(class_key)
         if canonical_fragment is None:
-            canonical_fragment = self._factor_both_polarities(canonical, num_vars)
+            canonical_fragment = refactor_fragment(canonical, num_vars)
             self._by_class[class_key] = canonical_fragment
         return _map_fragment_through_npn(canonical_fragment, transform, num_vars)
-
-    def _factor_both_polarities(self, table: int, num_vars: int) -> Fragment:
-        mask = table_mask(num_vars)
-        positive = Fragment.from_expression(
-            factor_cover(isop_cover(table, num_vars)), num_vars
-        )
-        negative = Fragment.from_expression(
-            factor_cover(isop_cover(table ^ mask, num_vars)), num_vars
-        )
-        negative.output = lit_not(negative.output)
-        return positive if positive.size <= negative.size else negative
 
     def __len__(self) -> int:
         return len(self._by_table)

@@ -4,7 +4,9 @@ A *cube* is a conjunction of literals over ``num_vars`` variables, stored as a
 pair of bitmasks ``(pos, neg)``: bit ``i`` of ``pos`` means variable ``i``
 appears positively, bit ``i`` of ``neg`` means it appears complemented.  A
 *cover* is a list of cubes interpreted as their disjunction.  Covers are the
-exchange format between ISOP extraction and algebraic factoring.
+exchange format between ISOP extraction and algebraic factoring; internally
+both run on plain ``(pos, neg)`` int pairs and build :class:`Cube` objects
+only at their public boundary.
 """
 
 from __future__ import annotations
@@ -93,28 +95,32 @@ def cover_support(cover: Sequence[Cube]) -> int:
 
 def literal_counts(cover: Sequence[Cube], num_vars: int) -> List[Tuple[int, int]]:
     """Return ``(positive_count, negative_count)`` per variable across the cover."""
-    counts = [(0, 0)] * num_vars
-    counts = [[0, 0] for _ in range(num_vars)]
-    for cube in cover:
-        for var, negative in cube.literals():
-            counts[var][1 if negative else 0] += 1
-    return [(pos, neg) for pos, neg in counts]
+    positive, negative = pair_literal_counts(
+        [(cube.pos, cube.neg) for cube in cover], num_vars
+    )
+    return list(zip(positive, negative))
 
 
-def divide_by_literal(cover: Sequence[Cube], var: int, negative: bool) -> Tuple[Cover, Cover]:
-    """Divide the cover by a single literal.
+def pair_literal_counts(
+    cubes: Sequence[Tuple[int, int]], num_vars: int
+) -> Tuple[List[int], List[int]]:
+    """Per-variable positive and negative literal counts of ``(pos, neg)`` cubes.
 
-    Returns ``(quotient, remainder)`` such that
-    ``cover == literal * quotient + remainder`` algebraically.
+    Walks the set bits of each mask, so the cost is one step per literal
+    rather than one per variable.
     """
-    quotient: Cover = []
-    remainder: Cover = []
-    for cube in cover:
-        if cube.contains_literal(var, negative):
-            quotient.append(cube.remove_literal(var, negative))
-        else:
-            remainder.append(cube)
-    return quotient, remainder
+    positive = [0] * num_vars
+    negative = [0] * num_vars
+    for pos, neg in cubes:
+        while pos:
+            low = pos & -pos
+            positive[low.bit_length() - 1] += 1
+            pos ^= low
+        while neg:
+            low = neg & -neg
+            negative[low.bit_length() - 1] += 1
+            neg ^= low
+    return positive, negative
 
 
 def cube_from_literals(literals: Iterable[Tuple[int, bool]]) -> Cube:

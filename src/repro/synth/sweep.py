@@ -228,12 +228,12 @@ def score_rewrites(
         for deref, cut in scored:
             if best is not None and len(deref) <= best.gain:
                 break
-            table = backend.cut_table_exact(view, node, cut.leaves)
+            truth = backend.cut_table_exact(view, node, cut.leaves)
             candidate = evaluate_rewrite_cut(
                 aig,
                 node,
                 list(cut.leaves),
-                table,
+                truth,
                 library,
                 params,
                 deref=deref,
@@ -243,13 +243,6 @@ def score_rewrites(
         if best is not None:
             candidates[node] = best
     return candidates
-
-
-#: Process-wide memo of factored refactoring fragments, keyed by
-#: ``(truth table, num_vars)`` — the refactoring analog of the rewriting
-#: library.  Cone functions recur heavily across nodes and sweeps, and the
-#: factored form is a pure function of the table, so sharing is safe.
-_REFACTOR_FRAGMENTS: Dict[Tuple[int, int], "object"] = {}
 
 
 def score_refactors(
@@ -264,9 +257,10 @@ def score_refactors(
     The per-node finder runs unchanged, but two batched shortcuts apply:
     nodes whose *global* MFFC (an upper bound on any cut-bounded MFFC) is
     already below ``min_cone_size`` are skipped before the expensive
-    collapse-and-factor pipeline, and factored fragments are memoized by
-    truth table across nodes and sweeps.  ``table`` memoizes the finder
-    calls that pass the prefilter.
+    collapse-and-factor pipeline, and factored fragments come from the
+    process-wide memo behind
+    :func:`~repro.synth.refactor.refactor_fragment`.  ``table`` memoizes the
+    finder calls that pass the prefilter.
     """
     del sweep_params
     params = params or RefactorParams()
@@ -278,10 +272,7 @@ def score_refactors(
             continue
         if len(view.mffc_nodes(node)) < params.min_cone_size:
             continue
-        candidate = _find(
-            table, node, "rf", find_refactor_candidate,
-            aig, node, params, fragment_cache=_REFACTOR_FRAGMENTS,
-        )
+        candidate = _find(table, node, "rf", find_refactor_candidate, aig, node, params)
         if candidate is not None:
             candidates[node] = candidate
     return candidates

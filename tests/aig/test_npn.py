@@ -74,3 +74,35 @@ def test_npn_class_counts_match_known_values():
     # Known results: 2 vars -> 4 classes, 3 vars -> 14 classes.
     assert npn_class_count(2) == 4
     assert npn_class_count(3) == 14
+
+
+def _brute_force_canonical(table, num_vars):
+    from repro.aig.npn import _transforms
+
+    return min(apply_transform(table, num_vars, t) for t in _transforms(num_vars))
+
+
+@pytest.mark.parametrize("num_vars", [2, 3])
+def test_canonical_is_brute_force_minimum_for_every_small_table(num_vars):
+    for table in range(1 << (1 << num_vars)):
+        canonical, transform = npn_canonical(table, num_vars)
+        assert canonical == _brute_force_canonical(table, num_vars), hex(table)
+        assert apply_transform(table, num_vars, transform) == canonical
+
+
+def test_canonical_is_brute_force_minimum_for_random_4_input_tables():
+    rng = random.Random(2024)
+    for _ in range(200):
+        table = rng.getrandbits(16)
+        canonical, transform = npn_canonical(table, 4)
+        assert canonical == _brute_force_canonical(table, 4), hex(table)
+        assert apply_transform(table, 4, transform) == canonical
+
+
+def test_bits_above_the_table_are_ignored():
+    rng = random.Random(5)
+    for num_vars in (1, 2, 3, 4):
+        mask = table_mask(num_vars)
+        for _ in range(20):
+            table = rng.getrandbits(1 << num_vars)
+            assert npn_canonical(table | 1 << 70, num_vars) == npn_canonical(table & mask, num_vars)

@@ -9,7 +9,6 @@ from repro.synth.sop import (
     cover_support,
     cover_truth_table,
     cube_from_literals,
-    divide_by_literal,
     literal_counts,
 )
 
@@ -63,14 +62,6 @@ def test_literal_counts():
     counts = literal_counts(cover, 2)
     assert counts[0] == (2, 0)
     assert counts[1] == (0, 2)
-
-
-def test_divide_by_literal():
-    cover = [Cube(pos=0b011, neg=0), Cube(pos=0b101, neg=0), Cube(pos=0, neg=0b001)]
-    quotient, remainder = divide_by_literal(cover, 0, False)
-    assert len(quotient) == 2
-    assert len(remainder) == 1
-    assert all(not cube.contains_literal(0, False) for cube in quotient)
 
 
 def test_cube_from_literals_roundtrip():
