@@ -3,12 +3,16 @@
 Speed comes from three mechanisms, feature-detected per op at construction
 and falling back op-by-op to the inherited reference code:
 
-* **Preallocated workspaces** — every hot op writes into thread-local,
-  shape-keyed buffers with explicit ``out=`` targets, so steady-state
-  training steps and sweep scoring allocate (almost) nothing.  All the
+* **Preallocated workspaces** — every hot op writes into key-addressed
+  buffers with explicit ``out=`` targets, so steady-state training steps
+  and sweep scoring allocate (almost) nothing.  The GNN buffers hang on the
+  sparse operator they serve (one set per thread), so a training run reuses
+  them across epochs and batches and they die with its operators.  All the
   fusions below keep the reference's arithmetic operations in the
   reference's order, which is what makes the results bit-identical: an
-  ``out=`` target changes where a result lands, never what it is.
+  ``out=`` target changes where a result lands, never what it is.  Float
+  products go through numpy's BLAS only (``np.dot``): a second BLAS library
+  would bring a second thread pool to compete with numpy's.
 * **scipy raw sparse kernels** — the GraphSAGE aggregation ``A @ X`` and its
   transposed backward product go straight to ``csr_matvecs`` on cached CSR
   (and cached transposed-CSR) arrays, skipping the wrapper's per-call
@@ -40,11 +44,6 @@ try:  # Optional: raw CSR SpMM kernels (scipy is a repo dependency, but the
     _csr_matvecs = getattr(_scipy_sparsetools, "csr_matvecs", None)
 except Exception:  # pragma: no cover - exercised only without scipy
     _csr_matvecs = None
-
-try:  # Optional: BLAS dgemm with beta=1 folds ``out += a @ b`` into one call.
-    from scipy.linalg.blas import dgemm as _dgemm
-except Exception:  # pragma: no cover - exercised only without scipy
-    _dgemm = None
 
 try:  # Optional: JIT for the exact-integer inner loops.
     import numba as _numba
@@ -121,7 +120,7 @@ if _numba is not None:  # pragma: no cover - exercised only with numba installed
 
 
 class _Workspaces:
-    """Shape-checked, key-addressed scratch buffers (one set per thread)."""
+    """Shape-checked, key-addressed scratch buffers."""
 
     __slots__ = ("_arrays",)
 
@@ -180,6 +179,27 @@ class AcceleratedBackend(ReferenceBackend):
         workspaces = getattr(self._tls, "workspaces", None)
         if workspaces is None:
             workspaces = self._tls.workspaces = _Workspaces()
+        return workspaces
+
+    @staticmethod
+    def _operator_ws(matrix) -> _Workspaces:
+        """This thread's GNN scratch buffers for one sparse operator.
+
+        They hang on the operator, like its cached transpose: every epoch
+        and batch sharing the operator reuses them, and they are freed with
+        it when the training run drops its batches.  A per-backend cache
+        keyed by shape would keep every batch shape of every run alive.
+        """
+        local = getattr(matrix, "_boolgebra_workspaces", None)
+        if local is None:
+            local = threading.local()
+            try:
+                matrix._boolgebra_workspaces = local
+            except AttributeError:  # pragma: no cover - exotic sparse types
+                return _Workspaces()
+        workspaces = getattr(local, "workspaces", None)
+        if workspaces is None:
+            workspaces = local.workspaces = _Workspaces()
         return workspaces
 
     # ------------------------------------------------------------------ #
@@ -456,7 +476,7 @@ class AcceleratedBackend(ReferenceBackend):
             return None
         rows = matrix.shape[0]
         vecs = x.shape[1]
-        out = self._ws().get(("spmm", key, rows, vecs), (rows, vecs))
+        out = self._operator_ws(matrix).get(("spmm", key), (rows, vecs))
         out.fill(0.0)  # csr_matvecs accumulates into its output
         indptr, indices, data = parts
         _csr_matvecs(rows, matrix.shape[1], vecs, indptr, indices, data, x.ravel(), out.ravel())
@@ -480,42 +500,24 @@ class AcceleratedBackend(ReferenceBackend):
             return transposed @ grad
         return matrix.T @ grad
 
-    @staticmethod
-    def _gemm_acc(a, b, out) -> bool:
-        """``out += a @ b`` in one BLAS call; ``False`` means "fall back".
-
-        ``dgemm(beta=1)`` accumulates the product in registers and adds it to
-        ``C`` with one rounding per element — exactly the reference's separate
-        ``np.dot`` + ``np.add``.  Runs in transposed space (``C.T = B.T A.T``)
-        so the C-contiguous ``out`` is an F-contiguous ``c`` and is updated in
-        place without copies.
-        """
-        if _dgemm is None or not out.flags.c_contiguous:
-            return False
-        result = _dgemm(1.0, b.T, a.T, beta=1.0, c=out.T, overwrite_c=1)
-        return np.shares_memory(result, out)
-
     def sage_layer_fused(self, conv, activation, dropout, x, aggregation, training, key=None):
-        ws = self._ws()
+        ws = self._operator_ws(aggregation)
         neighbours = self.csr_aggregate(aggregation, x, key=("sage_neigh", key))
         conv._cache = (x, neighbours, aggregation)
-        rows = x.shape[0]
-        width = conv.weight_self.value.shape[1]
-        out = ws.get(("sage_out", key, rows, width), (rows, width))
+        shape = (x.shape[0], conv.weight_self.value.shape[1])
+        out = ws.get(("sage_out", key), shape)
         # x @ W_self + neighbours @ W_neigh + bias, grouped exactly like the
-        # reference's left-to-right evaluation.  The second product folds into
-        # ``out`` via dgemm(beta=1): BLAS accumulates the product separately
-        # and adds it to C once per element — the same single rounding as the
-        # reference's ``np.add``, hence bitwise-identical (parity-gated).
+        # reference's left-to-right evaluation.  The second product borrows
+        # the dropout-draws buffer, which holds nothing live until the draw
+        # below overwrites it.
         np.dot(x, conv.weight_self.value, out=out)
-        if not self._gemm_acc(neighbours, conv.weight_neigh.value, out):
-            mix = ws.get(("sage_mix", key, rows, width), (rows, width))
-            np.dot(neighbours, conv.weight_neigh.value, out=mix)
-            np.add(out, mix, out=out)
+        draws = ws.get(("drop_draws", key), shape)
+        np.dot(neighbours, conv.weight_neigh.value, out=draws)
+        np.add(out, draws, out=out)
         np.add(out, conv.bias.value, out=out)
         # ReLU6: mask first (clip overwrites the pre-activation in place).
-        mask = ws.get(("relu_mask", key, rows, width), (rows, width), bool)
-        high = ws.get(("relu_high", key, rows, width), (rows, width), bool)
+        mask = ws.get(("relu_mask", key), shape, bool)
+        high = ws.get(("relu_high", key), shape, bool)
         np.greater(out, 0.0, out=mask)
         np.less(out, 6.0, out=high)
         np.logical_and(mask, high, out=mask)
@@ -528,11 +530,10 @@ class AcceleratedBackend(ReferenceBackend):
             dropout._mask = None
             return out
         keep = 1.0 - dropout.rate
-        draws = ws.get(("drop_draws", key, rows, width), (rows, width))
         dropout._rng.random(out=draws)
-        kept = ws.get(("drop_kept", key, rows, width), (rows, width), bool)
+        kept = ws.get(("drop_kept", key), shape, bool)
         np.less(draws, keep, out=kept)
-        scale = ws.get(("drop_scale", key, rows, width), (rows, width))
+        scale = ws.get(("drop_scale", key), shape)
         np.divide(kept, keep, out=scale)
         dropout._mask = scale
         np.multiply(out, scale, out=out)
@@ -540,46 +541,32 @@ class AcceleratedBackend(ReferenceBackend):
 
     def sage_layer_backward(self, conv, activation, dropout, grad, input_grad, key=None):
         assert conv._cache is not None, "forward must be called before backward"
-        ws = self._ws()
+        x, neighbours, aggregation = conv._cache
+        ws = self._operator_ws(aggregation)
         rows, width = grad.shape
-        masked = ws.get(("sage_grad", key, rows, width), (rows, width))
+        masked = ws.get(("sage_grad", key), (rows, width))
         if dropout._mask is not None:
             np.multiply(grad, dropout._mask, out=masked)
             np.multiply(masked, activation._mask, out=masked)
         else:
             np.multiply(grad, activation._mask, out=masked)
-        x, neighbours, aggregation = conv._cache
         depth = conv.weight_self.value.shape[0]
-        weight_grad = ws.get(("sage_wgrad", key, depth, width), (depth, width))
+        weight_grad = ws.get(("sage_wgrad", key), (depth, width))
         np.dot(x.T, masked, out=weight_grad)
         conv.weight_self.grad += weight_grad
         np.dot(neighbours.T, masked, out=weight_grad)
         conv.weight_neigh.grad += weight_grad
-        bias_grad = ws.get(("sage_bgrad", key, width), (width,))
+        bias_grad = ws.get(("sage_bgrad", key), (width,))
         np.add.reduce(masked, axis=0, out=bias_grad)
         conv.bias.grad += bias_grad
         if not input_grad:
             return None
-        mix = ws.get(("sage_gmix", key, rows, depth), (rows, depth))
+        mix = ws.get(("sage_gmix", key), (rows, depth))
         np.dot(masked, conv.weight_neigh.value.T, out=mix)
         neighbour_grad = self.csr_aggregate_t(aggregation, mix, key=("sage_aggt", key))
-        # grad_input = masked @ W_self.T + neighbour_grad.  dgemm(beta=1)
-        # accumulates the product straight into the aggregated gradient with
-        # the reference's single add per element (operands in the reference's
-        # order: product first, aggregate second).
-        if _dgemm is not None and neighbour_grad.flags.c_contiguous:
-            result = _dgemm(
-                1.0,
-                conv.weight_self.value.T,
-                masked.T,
-                beta=1.0,
-                c=neighbour_grad.T,
-                overwrite_c=1,
-                trans_a=1,
-            )
-            if np.shares_memory(result, neighbour_grad):
-                return neighbour_grad
-        grad_input = ws.get(("sage_gin", key, rows, depth), (rows, depth))
-        np.dot(masked, conv.weight_self.value.T, out=grad_input)
-        np.add(grad_input, neighbour_grad, out=grad_input)
-        return grad_input
+        # grad_input = masked @ W_self.T + neighbour_grad, with the reference's
+        # operand order (product first, aggregate second).  The aggregation
+        # has consumed ``mix``, so the product reuses its buffer.
+        np.dot(masked, conv.weight_self.value.T, out=mix)
+        np.add(mix, neighbour_grad, out=mix)
+        return mix

@@ -239,32 +239,57 @@ def training_samples():
     return build_dataset(aig, records).samples
 
 
-def _train(samples, backend, method):
+def _train(samples, backend, method, batch_size=32, num_test=0):
     from repro.nn.model import ModelConfig
     from repro.nn.trainer import Trainer, TrainingConfig
 
+    config = TrainingConfig.fast(epochs=6, seed=3)
+    config.batch_size = batch_size
     trainer = Trainer(
-        config=TrainingConfig.fast(epochs=6, seed=3),
+        config=config,
         model_config=ModelConfig(
             input_dim=12, conv_hidden_dim=8, conv_output_dim=6, dense_dims=(12, 4, 1), seed=3
         ),
         backend=backend,
     )
-    history = getattr(trainer, method)(samples)
+    split = len(samples) - num_test
+    history = getattr(trainer, method)(samples[:split], samples[split:])
     weights = b"".join(p.value.tobytes() for p in trainer.model.parameters())
     predictions = trainer.predict(samples)
     return history, weights, predictions
 
 
+def _assert_same_training(reference, other):
+    ref_history, ref_weights, ref_pred = reference
+    history, weights, pred = other
+    assert ref_history.train_loss == history.train_loss
+    assert ref_history.test_loss == history.test_loss
+    assert ref_weights == weights
+    assert ref_pred.tobytes() == pred.tobytes()
+
+
 @parametrize_backend
 @pytest.mark.parametrize("method", ["train", "fit"])
 def test_training_byte_identical_across_backends(training_samples, backend_name, method):
-    ref_history, ref_weights, ref_pred = _train(training_samples, "reference", method)
-    acc_history, acc_weights, acc_pred = _train(training_samples, backend_name, method)
-    assert ref_history.train_loss == acc_history.train_loss
-    assert ref_history.test_loss == acc_history.test_loss
-    assert ref_weights == acc_weights
-    assert ref_pred.tobytes() == acc_pred.tobytes()
+    _assert_same_training(
+        _train(training_samples, "reference", method),
+        _train(training_samples, backend_name, method),
+    )
+
+
+@parametrize_backend
+@pytest.mark.parametrize("method", ["train", "fit"])
+def test_multi_batch_training_with_test_set_byte_identical(
+    training_samples, backend_name, method
+):
+    # 9 training samples in batches of 5 and 4, then the eval forward on 3
+    # test samples: three row counts per epoch through the same scratch
+    # buffers, and predict() adds a fourth (a chunk of 2).
+    reference = _train(training_samples, "reference", method, batch_size=5, num_test=3)
+    assert len(reference[0].test_loss) == len(reference[0].train_loss) == 6
+    _assert_same_training(
+        reference, _train(training_samples, backend_name, method, batch_size=5, num_test=3)
+    )
 
 
 def test_adam_and_layers_identical_on_random_batches(training_samples):
