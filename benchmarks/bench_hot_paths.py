@@ -208,7 +208,7 @@ GATE_MIN_SPEEDUP = {
 SPEEDUP_CLAMPS = {
     "train_epoch": 12.0,
     # Full-run Trainer.train (reference backend, per-epoch rebatching) over
-    # Trainer.fit (accelerated backend, prebatched): the raw ratio hovers
+    # Trainer.fit (native backend, prebatched): the raw ratio hovers
     # just above the 1.5x acceptance bar, so the clamp reports a stable 1.5
     # on healthy runs while a real regression still trips the gate floor.
     "train_fit": 1.5,
@@ -434,8 +434,8 @@ def _run_pass_script(aig, strategy: str) -> None:
 #: sequential baseline runs the retained scalar reference code, the batched
 #: sweep runs the native backend — the production pairing whose ratio the
 #: acceptance bar tracks.  (Both backends are constructible on any install;
-#: a missing compiled engine degrades op-by-op to the accelerated /
-#: reference paths, never fails.)
+#: a missing compiled engine degrades op-by-op to the reference code, never
+#: fails.)
 _PASS_BACKENDS = {"sequential": "reference", "sweep": "native"}
 
 
@@ -556,14 +556,14 @@ def bench_train_epoch(config: Dict, repeats: int) -> Dict:
     schedule = TrainingConfig.fast(epochs=epochs)
     model = ModelConfig.small()
     # Each side is pinned to its production compute backend (reference for
-    # the retained per-epoch path, accelerated for the prebatched one); the
+    # the retained per-epoch path, native for the prebatched one); the
     # backends are parity-gated bit-identical, so the loss histories AND the
     # final weights must still agree byte for byte.
     reference_trainer = Trainer(config=schedule, model_config=model, backend="reference")
     start = time.perf_counter()
     reference_history = reference_trainer.train(samples, test_set.samples)
     train_s = time.perf_counter() - start
-    prebatched_trainer = Trainer(config=schedule, model_config=model, backend="accelerated")
+    prebatched_trainer = Trainer(config=schedule, model_config=model, backend="native")
     start = time.perf_counter()
     prebatched_history = prebatched_trainer.fit(samples, test_set.samples)
     fit_s = time.perf_counter() - start
@@ -587,7 +587,7 @@ def bench_train_epoch(config: Dict, repeats: int) -> Dict:
         "reference_s": reference_s,
         "vectorized_s": vectorized_s,
         **_clamped_speedup("train_epoch", reference_s, vectorized_s),
-        "backends": {"train": "reference", "fit": "accelerated"},
+        "backends": {"train": "reference", "fit": "native"},
         "train_s": train_s,
         "fit_s": fit_s,
         "fit_speedup": train_s / fit_s if fit_s else float("inf"),
@@ -1005,7 +1005,7 @@ def run_suite(
         for name in selected
     }
     # Full-run training promoted to its own gated kernel: Trainer.train on
-    # the reference backend vs Trainer.fit on the accelerated one, measured
+    # the reference backend vs Trainer.fit on the native one, measured
     # inside bench_train_epoch (one training workload, two tracked ratios).
     if "train_epoch" in results:
         train = results["train_epoch"]
@@ -1198,7 +1198,7 @@ def _profile_kernel(name: str) -> int:
 
 
 #: Backends compared side by side by ``--breakdown`` (sweep strategy).
-_BREAKDOWN_BACKENDS = ("reference", "accelerated", "native")
+_BREAKDOWN_BACKENDS = ("reference", "native")
 
 
 def _breakdown(config: Dict) -> int:
@@ -1207,9 +1207,9 @@ def _breakdown(config: Dict) -> int:
     Each design runs the standard pass script pinned to each registered
     backend in turn (best of three on fresh copies, caches warmed), so a
     per-backend regression is visible without re-deriving it from ratio
-    changes.  The op table then shows which compiled engine (numba / cc)
-    serves each native op — or the fallback reason when the backend
-    degraded.
+    changes.  The op table then shows which implementation (the cc engine,
+    scipy, workspaces) serves each native op — or the fallback reason when
+    the backend degraded.
     """
     from repro.backend import create_backend
 

@@ -25,7 +25,7 @@ def prewarm_default_backend() -> Optional[str]:
 
     Worker initializers (the service pool, the process-pool evaluator) call
     this right after pinning their backend so the first *job* never pays
-    JIT-compile or shared-library-build latency.  Backends without a
+    shared-library-build latency.  Backends without a
     ``prewarm`` hook are a no-op; returns the warmed engine name, if any.
     """
     backend = get_backend()
@@ -34,7 +34,7 @@ def prewarm_default_backend() -> Optional[str]:
         return None
     engine = prewarm()
     # Compile-cache observability: one series point per warmed (backend,
-    # engine) pair — a cold JIT/cc build and a cache hit both count a warm.
+    # engine) pair — a cold cc build and a cache hit both count a warm.
     from repro.obs.metrics import REGISTRY
 
     REGISTRY.counter("backend_prewarms").labels(

@@ -1,9 +1,9 @@
 """The compute-backend protocol: a fixed vocabulary of numeric inner-loop ops.
 
 Every numeric inner loop of the optimizer and the learning pipeline is
-routed through one of the operations below, so alternative implementations
-(preallocated-workspace numpy, scipy raw SpMM, Numba JIT, and eventually
-C/CuPy) can be swapped in without touching pass or training semantics.
+routed through one of the operations below, so a faster implementation (the
+native backend's compiled C loops, raw scipy SpMM and preallocated
+workspaces) can be swapped in without touching pass or training semantics.
 
 The contract of every op is **bit-identity**: an implementation must return
 byte-for-byte the same result as :class:`repro.backend.reference
@@ -20,10 +20,8 @@ Op vocabulary
                              propagation (:meth:`LevelizedAig.simulate`)
 ``cut_merge_filter``         folded-signature k-feasibility prefilter of one
                              level's fanin cut pairs (cut enumeration)
-``cut_truth_tables``         batched cut truth tables from one matrix
-                             simulation (sweep rewrite scoring)
-``cut_table_exact``          exact scalar cone-walk table (the fallback for
-                             cuts the batched extraction left incomplete)
+``cut_table_exact``          exact cone-walk cut truth table (sweep rewrite
+                             scoring)
 ``resub_zero_match``         0-resub divisor scan (table equality)
 ``resub_rank_divisors``      similarity ranking of resub divisors
 ``resub_one_match``          1-resub AND/OR pair search over ranked divisors
@@ -54,7 +52,6 @@ import numpy as np
 OPS: Tuple[str, ...] = (
     "simulate_level_step",
     "cut_merge_filter",
-    "cut_truth_tables",
     "cut_table_exact",
     "resub_zero_match",
     "resub_rank_divisors",
@@ -77,15 +74,15 @@ class Backend:
     must tell the truth about which is which.
     """
 
-    #: Registry name of the backend ("reference", "accelerated", ...).
+    #: Registry name of the backend ("reference" or "native").
     name: str = "abstract"
 
     def op_support(self) -> Dict[str, str]:
         """Per-op implementation report, e.g. ``{"csr_aggregate": "scipy"}``.
 
         Values are free-form short strings; the convention is the mechanism
-        name for native implementations ("numpy", "workspace", "scipy",
-        "numba") and ``"fallback:<reason>"`` for inherited reference code.
+        name for native implementations ("numpy", "scipy", "cc:cone-walk")
+        and ``"fallback:<reason>"`` for inherited reference code.
         """
         raise NotImplementedError
 
@@ -119,23 +116,6 @@ class Backend:
     # ------------------------------------------------------------------ #
     # Sweep scoring
     # ------------------------------------------------------------------ #
-    def cut_truth_tables(
-        self,
-        aig: Any,
-        view: Any,
-        work: Sequence[Tuple[int, Tuple[int, ...]]],
-        num_patterns: int = 512,
-        seed: int = 2024,
-        chunk: int = 4096,
-    ) -> Dict[Tuple[int, Tuple[int, ...]], Optional[int]]:
-        """Truth tables for many ``(root, leaves)`` cuts from one matrix simulation.
-
-        Complete observations are exact; incomplete cuts map to ``None`` and
-        the caller resolves them with :meth:`cut_table_exact`.  See
-        :func:`repro.synth.sweep.batched_cut_tables` for the full contract.
-        """
-        raise NotImplementedError
-
     def cut_table_exact(self, view: Any, root: int, leaves: Tuple[int, ...]) -> int:
         """Exact cut truth table from a scalar cone walk over the snapshot."""
         raise NotImplementedError

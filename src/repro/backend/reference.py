@@ -8,13 +8,13 @@ opaquely through ``@``), and defines the bit-exact contract every other
 backend is gated against.
 
 Do not "optimize" this file: its value is being the plainly-readable ground
-truth.  Speed work goes into :mod:`repro.backend.accelerated` (or future
-backends), which must reproduce these results byte for byte.
+truth.  Speed work goes into :mod:`repro.backend.native`, which must
+reproduce these results byte for byte and falls back to this code op by op.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Set
 
 import numpy as np
 
@@ -70,62 +70,6 @@ class ReferenceBackend(Backend):
     # ------------------------------------------------------------------ #
     # Sweep scoring
     # ------------------------------------------------------------------ #
-    def cut_truth_tables(self, aig, view, work, num_patterns=512, seed=2024, chunk=4096):
-        from repro.aig.simulate import random_patterns
-
-        tables: Dict[Tuple[int, Tuple[int, ...]], Optional[int]] = {}
-        if not work:
-            return tables
-        patterns = random_patterns(aig.num_pis(), num_patterns, seed=seed)
-        values = view.simulate(patterns, backend=self)
-        # (num_slots, num_patterns) 0/1 matrix: unpack each uint64 word.
-        shifts = np.arange(64, dtype=np.uint64)
-        bits = ((values[:, :, None] >> shifts) & np.uint64(1)).astype(np.uint8)
-        bits = bits.reshape(values.shape[0], -1)[:, :num_patterns]
-
-        by_size: Dict[int, List[Tuple[int, Tuple[int, ...]]]] = {}
-        for root, leaves in work:
-            by_size.setdefault(len(leaves), []).append((root, leaves))
-
-        for size, items in by_size.items():
-            if size > 6:
-                # The packed-table arithmetic lives in single uint64 words
-                # (2**size table bits, shift weights up to 2**size - 1), which
-                # is only sound for size <= 6; larger cuts take the exact
-                # scalar fallback.  The default rewriting cut size is 4.
-                for item in items:
-                    tables[item] = None
-                continue
-            width = 1 << size
-            weights = np.left_shift(
-                np.uint64(1), np.arange(width, dtype=np.uint64)
-            ).astype(np.uint64)
-            for start in range(0, len(items), chunk):
-                batch = items[start : start + chunk]
-                count = len(batch)
-                roots = np.fromiter((root for root, _ in batch), np.int64, count)
-                leaf_matrix = np.array([leaves for _, leaves in batch], dtype=np.int64)
-                index = bits[leaf_matrix[:, 0]].astype(np.uint16)
-                for position in range(1, size):
-                    index |= bits[leaf_matrix[:, position]].astype(np.uint16) << position
-                root_bits = bits[roots]
-                rows = np.arange(count, dtype=np.int64)[:, None]
-                flat = (rows * width + index).ravel()
-                seen = np.zeros(count * width, dtype=bool)
-                seen[flat] = True
-                entries = np.zeros(count * width, dtype=np.uint8)
-                entries[flat] = root_bits.ravel()
-                seen = seen.reshape(count, width)
-                entries = entries.reshape(count, width)
-                complete = seen.all(axis=1)
-                packed = (entries.astype(np.uint64) * weights).sum(axis=1)
-                for position, (root, leaves) in enumerate(batch):
-                    if complete[position]:
-                        tables[(root, leaves)] = int(packed[position])
-                    else:
-                        tables[(root, leaves)] = None
-        return tables
-
     def cut_table_exact(self, view, root, leaves) -> int:
         from repro.aig.truth import cached_table_var, table_mask
 

@@ -5,9 +5,9 @@ Selection order for the process-wide default backend:
 1. an explicit :func:`set_default_backend` / :func:`use_backend` call
    (``FlowConfig.backend`` and ``Trainer(backend=...)`` route through these),
 2. the ``BOOLGEBRA_BACKEND`` environment variable,
-3. ``"auto"``: the native backend when a compiled engine (numba import or a
-   cc-built kernel library) is plausible, else the accelerated backend when
-   any of its native accelerations are importable, else the reference.
+3. ``"auto"``, which is the native backend: it needs no probe, because it
+   degrades op by op to the reference code wherever its compiled library
+   (or scipy's raw sparse kernel) is unavailable.
 
 Backends are instantiated lazily (one cached instance per name), so merely
 importing :mod:`repro.backend` stays cheap and free of optional-dependency
@@ -54,22 +54,10 @@ def available_backends() -> List[str]:
 def create_backend(name: str) -> Backend:
     """Instantiate (or return the cached instance of) backend ``name``.
 
-    ``"auto"`` resolves to the native backend when a compiled engine is
-    plausible (numba importable, a cached cc kernel library, or a system C
-    compiler), else to the accelerated backend when any of its native
-    accelerations are importable, else to the reference backend.  A wrong
-    "plausible" only costs per-op fallback inside the native backend.
+    ``"auto"`` is the native backend (see the module docstring).
     """
     if name == "auto":
-        from repro.backend.accelerated import AcceleratedBackend
-        from repro.backend.native import NativeBackend
-
-        if NativeBackend.native_available():
-            name = "native"
-        elif AcceleratedBackend.native_available():
-            name = "accelerated"
-        else:
-            name = "reference"
+        name = "native"
     if name not in _FACTORIES:
         raise ValueError(
             f"unknown backend {name!r}; available: {', '.join(available_backends())}"
@@ -214,12 +202,6 @@ def _make_reference() -> Backend:
     return ReferenceBackend()
 
 
-def _make_accelerated() -> Backend:
-    from repro.backend.accelerated import AcceleratedBackend
-
-    return AcceleratedBackend()
-
-
 def _make_native() -> Backend:
     from repro.backend.native import NativeBackend
 
@@ -227,5 +209,4 @@ def _make_native() -> Backend:
 
 
 register_backend("reference", _make_reference)
-register_backend("accelerated", _make_accelerated)
 register_backend("native", _make_native)

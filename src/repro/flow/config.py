@@ -51,9 +51,9 @@ class FlowConfig:
     #: per-epoch-rebatch reference loop is byte-identical but slower.
     prebatch: bool = True
     #: Compute backend for the numeric inner loops: ``None`` defers to the
-    #: ``BOOLGEBRA_BACKEND`` environment variable (default ``"auto"``),
-    #: otherwise ``"reference"``, ``"accelerated"``, ``"native"`` or
-    #: ``"auto"``.  Every backend is gated bit-identical, so this changes
+    #: ``BOOLGEBRA_BACKEND`` environment variable (default ``"auto"``, which
+    #: is ``"native"``), otherwise ``"reference"``, ``"native"`` or
+    #: ``"auto"``.  Both backends are gated bit-identical, so this changes
     #: speed, never results.
     backend: Optional[str] = None
     #: Architecture of the GNN predictor.

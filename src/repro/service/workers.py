@@ -73,8 +73,8 @@ def _worker_main(task_queue, result_queue, backend_name=None) -> None:
         # Process-local backend selections don't survive the process
         # boundary, so the pool ships the effective name explicitly.
         set_default_backend(backend_name)
-    # Compile/load the backend's kernels now (numba JIT cache, cc shared
-    # library) so the first *job* never pays the build latency.
+    # Load (or build) the backend's compiled kernel library now so the
+    # first *job* never pays the build latency.
     prewarm_default_backend()
     from repro.engine.engine import Engine  # noqa: F401  (prewarm imports)
 

@@ -11,8 +11,8 @@ This module restructures the passes into two phases per *sweep*:
 
 1. **Score** — candidates for *all* nodes are computed against one frozen
    :class:`~repro.aig.kernels.LevelizedAig` snapshot.  Rewriting uses one
-   vectorized full-network cut enumeration plus batched cut truth tables
-   extracted from a single matrix simulation (:func:`batched_cut_tables`);
+   vectorized full-network cut enumeration and computes cut truth tables
+   lazily with the exact cone walk, only for the cuts it evaluates;
    refactoring and resubstitution run their per-node finders against the
    frozen network, where levels, fanout arrays and the topological order are
    computed exactly once.
@@ -36,13 +36,12 @@ the input network holds by construction; the test-suite additionally checks
 batched-vs-sequential equivalence and node-count monotonicity on randomized
 networks and on every registered benchmark.
 
-All numeric inner loops — cut truth tables, the exact cone walk, the
-conflict screen of the commit phase — dispatch through the selected compute
-backend (:mod:`repro.backend`), so the same sweep code runs on the pure
-numpy reference, the vectorized accelerated backend, or the compiled
-(numba/cc) native backend; the tracked ``pass_sweep`` benchmark measures
-this engine on the native backend against the sequential drivers on the
-reference.
+All numeric inner loops — cut enumeration, the exact cone walk, resub
+matching, the conflict screen of the commit phase — dispatch through the
+selected compute backend (:mod:`repro.backend`), so the same sweep code runs
+on the pure numpy reference or on the native backend's compiled loops; the
+tracked ``pass_sweep`` benchmark measures this engine on the native backend
+against the sequential drivers on the reference.
 """
 
 from __future__ import annotations
@@ -67,11 +66,10 @@ from repro.synth.rewrite_lib import DEFAULT_LIBRARY
 class SweepParams:
     """Tuning knobs of the sweep-and-commit engine.
 
-    ``num_patterns`` controls the matrix simulation the batched rewrite
-    scorer extracts cut truth tables from: a cut whose leaves are not
-    observed under all ``2**size`` value combinations falls back to the
-    exact scalar cone walk, so the setting trades vectorized table
-    extraction against fallback work — correctness never depends on it.
+    ``num_patterns`` and ``pattern_seed`` set the random simulation behind
+    the resubstitution scorer's signature-class prefilter: a signature
+    collision only costs a wasted exact check, so correctness never depends
+    on them.
     """
 
     max_sweeps: int = 3
@@ -117,58 +115,6 @@ def _find(table: Optional[CandidateTable], node: int, operation: str, finder, *a
     if candidate is _UNSCORED:
         candidate = table[(node, operation)] = finder(*args, **kwargs)
     return candidate
-
-
-# --------------------------------------------------------------------------- #
-# Batched cut truth tables
-# --------------------------------------------------------------------------- #
-def batched_cut_tables(
-    aig: Aig,
-    view: LevelizedAig,
-    work: Sequence[Tuple[int, Tuple[int, ...]]],
-    num_patterns: int = 512,
-    seed: int = 2024,
-    chunk: int = 4096,
-) -> Dict[Tuple[int, Tuple[int, ...]], int]:
-    """Truth tables for many ``(root, leaves)`` cuts from one matrix simulation.
-
-    One vectorized level-at-a-time simulation of the whole network produces a
-    per-node bit matrix; for every cut the leaf rows are packed into minterm
-    indices and the root row is scattered into a ``2**size``-entry table —
-    all cuts of one size are processed with a handful of numpy operations.
-    A cut is *complete* when every minterm index was observed; because the
-    root's value is a deterministic function of the leaf values (the leaves
-    form a cut), a complete observation equals the exact structural truth
-    table.  Incomplete cuts (possible when leaf values are heavily
-    correlated) are reported as ``None`` and the caller falls back to the
-    exact scalar cone walk on demand, so the end result is always exact and
-    deterministic.
-
-    This is a thin dispatcher over the selected compute backend's
-    ``cut_truth_tables`` op (see :mod:`repro.backend`); every backend's
-    result is bit-identical to the canonical numpy implementation in
-    :class:`repro.backend.reference.ReferenceBackend`.
-    """
-    if TRACER.enabled:
-        with TRACER.span("sweep.snapshot", attrs={"cuts": len(work)}):
-            return get_backend().cut_truth_tables(
-                aig, view, work, num_patterns=num_patterns, seed=seed, chunk=chunk
-            )
-    return get_backend().cut_truth_tables(
-        aig, view, work, num_patterns=num_patterns, seed=seed, chunk=chunk
-    )
-
-
-def _snapshot_cut_table(view: LevelizedAig, root: int, leaves: Tuple[int, ...]) -> int:
-    """Exact cut truth table computed on the frozen snapshot arrays.
-
-    Semantically identical to :func:`repro.aig.truth.cut_truth_table` but
-    walks the snapshot's plain fanin lists instead of calling into the
-    mutable network — the fallback path for cuts whose leaf values were not
-    fully covered by the batched matrix extraction.  Dispatches to the
-    selected backend's ``cut_table_exact`` op.
-    """
-    return get_backend().cut_table_exact(view, root, leaves)
 
 
 # --------------------------------------------------------------------------- #

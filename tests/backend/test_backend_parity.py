@@ -1,16 +1,15 @@
-"""Byte-identity of the optimized backends against the reference.
+"""Byte-identity of the optimized backend against the reference.
 
 The backend contract is *bit-exact equality*, not approximate agreement:
-every op of :class:`~repro.backend.accelerated.AcceleratedBackend` and
-:class:`~repro.backend.native.NativeBackend` must produce the same bytes as
-:class:`~repro.backend.reference.ReferenceBackend` for the same inputs.
-These tests drive the ops through their real callers — simulation, cut
-enumeration, the sweep-and-commit passes, resubstitution and GNN training —
-on hypothesis-generated networks, parametrized over every optimized backend,
-and additionally hit the size regimes (small/large divisor sets) that select
-different internal code paths inside the ops.  The native backend degrades
-per op when no compiled engine is available, so the suite is meaningful
-(if less sharp) even on installs without numba or a C compiler.
+every op of :class:`~repro.backend.native.NativeBackend` must produce the
+same bytes as :class:`~repro.backend.reference.ReferenceBackend` for the
+same inputs.  These tests drive the ops through their real callers —
+simulation, cut enumeration, the sweep-and-commit passes, resubstitution and
+GNN training — on hypothesis-generated networks, and additionally hit the
+size regimes (small/large divisor sets) that select different internal code
+paths inside the ops.  The native backend degrades per op to the reference
+when no compiled engine is available, so the suite is meaningful (if less
+sharp) even on installs without a C compiler.
 """
 
 from __future__ import annotations
@@ -27,11 +26,11 @@ from repro.aig.random_aig import RandomAigSpec, random_aig
 from repro.aig.simulate import random_patterns, simulate_matrix
 from repro.aig.truth import cut_truth_table, table_mask
 from repro.backend import create_backend, use_backend
-from repro.backend.accelerated import _SMALL_RESUB
+from repro.backend.native import _NATIVE_RESUB_MIN
 from repro.backend.reference import ReferenceBackend
 
 #: Every optimized backend is held to the same byte-identity bar.
-OPTIMIZED_BACKENDS = ("accelerated", "native")
+OPTIMIZED_BACKENDS = ("native",)
 parametrize_backend = pytest.mark.parametrize("backend_name", OPTIMIZED_BACKENDS)
 from repro.synth.scripts import refactor_pass, resub_pass, rewrite_pass
 
@@ -117,31 +116,6 @@ def test_cut_table_exact_matches_truth_module(backend_name, spec):
             assert optimized.cut_table_exact(view, node, cut.leaves) == expected
 
 
-@parametrize_backend
-@settings(max_examples=10, deadline=None)
-@given(spec=aig_specs)
-def test_batched_cut_tables_identical(backend_name, spec):
-    aig = random_aig(spec)
-    from repro.aig.kernels import levelized
-
-    view = levelized(aig)
-    view.ensure_node_arrays(aig)
-    cuts = CutEnumerator(k=4, cuts_per_node=8).enumerate(aig)
-    work = [
-        (node, cut.leaves)
-        for node, node_cuts in cuts.items()
-        for cut in node_cuts
-        if not cut.is_trivial() and cut.size >= 2
-    ]
-    reference = ReferenceBackend().cut_truth_tables(aig, view, work, num_patterns=256, seed=7)
-    optimized = create_backend(backend_name).cut_truth_tables(aig, view, work, num_patterns=256, seed=7)
-    assert reference == optimized
-    # Complete tables are exact: they must agree with the scalar cone walk.
-    for (node, leaves), table in reference.items():
-        if table is not None:
-            assert table == cut_truth_table(aig, node, list(leaves))
-
-
 # --------------------------------------------------------------------------- #
 # Sweep passes end to end
 # --------------------------------------------------------------------------- #
@@ -206,7 +180,8 @@ def _random_resub_case(count, num_vars, seed):
 @parametrize_backend
 @pytest.mark.parametrize("num_vars", [5, 7])  # 1-word and 2-word tables
 @pytest.mark.parametrize(
-    "count", [3, _SMALL_RESUB - 1, _SMALL_RESUB, _SMALL_RESUB + 17]
+    # Below the threshold the reference loops run, from it the compiled scan.
+    "count", [3, _NATIVE_RESUB_MIN - 1, _NATIVE_RESUB_MIN, 63, 64, 81]
 )
 def test_resub_ops_identical_across_size_regimes(backend_name, num_vars, count):
     reference = ReferenceBackend()
@@ -296,9 +271,9 @@ def test_adam_and_layers_identical_on_random_batches(training_samples):
     # One more angle on the nn ops: identical losses per step imply the
     # fused forward/backward/step pipeline never diverges mid-epoch.
     ref_history, _, _ = _train(training_samples, "reference", "train")
-    acc_history, _, _ = _train(training_samples, "accelerated", "train")
-    assert len(ref_history.train_loss) == len(acc_history.train_loss)
+    native_history, _, _ = _train(training_samples, "native", "train")
+    assert len(ref_history.train_loss) == len(native_history.train_loss)
     assert all(
         np.float64(a) == np.float64(b)
-        for a, b in zip(ref_history.train_loss, acc_history.train_loss)
+        for a, b in zip(ref_history.train_loss, native_history.train_loss)
     )

@@ -22,7 +22,6 @@ from repro.backend import (
     set_default_backend,
     use_backend,
 )
-from repro.backend.accelerated import AcceleratedBackend
 from repro.backend.native import NativeBackend
 from repro.backend.reference import ReferenceBackend
 
@@ -37,20 +36,22 @@ def _clean_selection(monkeypatch):
 
 
 def test_available_backends_reference_first():
-    names = available_backends()
-    assert names[0] == "reference"
-    assert "accelerated" in names
-    assert "native" in names
+    assert available_backends() == ["reference", "native"]
 
 
 def test_create_backend_caches_instances():
     assert create_backend("reference") is create_backend("reference")
-    assert create_backend("accelerated") is create_backend("accelerated")
+    assert create_backend("native") is create_backend("native")
 
 
 def test_create_backend_unknown_name():
     with pytest.raises(ValueError, match="unknown backend"):
         create_backend("cuda")
+    with pytest.raises(ValueError) as excinfo:
+        create_backend("accelerated")
+    assert str(excinfo.value) == (
+        "unknown backend 'accelerated'; available: reference, native"
+    )
 
 
 def test_reference_always_constructible_and_complete():
@@ -59,27 +60,16 @@ def test_reference_always_constructible_and_complete():
     assert set(support) == set(OPS)
 
 
-def test_accelerated_constructible_without_native_deps():
-    # Feature detection happens per op: construction never raises, whatever
-    # optional packages this interpreter is missing.
-    backend = AcceleratedBackend()
-    assert set(backend.op_support()) == set(OPS)
-
-
 def test_auto_resolution_matches_native_availability():
-    if NativeBackend.native_available():
-        expected = "native"
-    elif AcceleratedBackend.native_available():
-        expected = "accelerated"
-    else:
-        expected = "reference"
-    assert create_backend("auto").name == expected
-    assert get_backend().name == expected
+    # The native backend is available on every install (it degrades per op
+    # to the reference code), so auto resolves to it without probing.
+    assert create_backend("auto") is create_backend("native")
+    assert get_backend().name == "native"
 
 
 def test_native_constructible_without_engines():
-    # Like the accelerated backend, construction never raises; every op is
-    # reported (with a fallback label when no compiled engine exists).
+    # Construction never raises, whatever this interpreter is missing; every
+    # op is reported (with a fallback label when no compiled engine exists).
     backend = NativeBackend()
     assert set(backend.op_support()) >= set(OPS)
 
@@ -88,36 +78,36 @@ def test_env_var_selects_backend(monkeypatch):
     monkeypatch.setenv(ENV_VAR, "reference")
     reset_default_backend()
     assert get_backend().name == "reference"
-    monkeypatch.setenv(ENV_VAR, "accelerated")
+    monkeypatch.setenv(ENV_VAR, "native")
     reset_default_backend()
-    assert get_backend().name == "accelerated"
+    assert get_backend().name == "native"
 
 
 def test_explicit_pin_overrides_env(monkeypatch):
     monkeypatch.setenv(ENV_VAR, "reference")
     reset_default_backend()
-    set_default_backend("accelerated")
-    assert get_backend().name == "accelerated"
+    set_default_backend("native")
+    assert get_backend().name == "native"
     set_default_backend(None)  # revert to env
     assert get_backend().name == "reference"
 
 
 def test_use_backend_scopes_and_restores():
     set_default_backend("reference")
-    with use_backend("accelerated") as backend:
-        assert backend.name == "accelerated"
-        assert get_backend().name == "accelerated"
+    with use_backend("native") as backend:
+        assert backend.name == "native"
+        assert get_backend().name == "native"
         with use_backend("reference"):
             assert get_backend().name == "reference"
-        assert get_backend().name == "accelerated"
+        assert get_backend().name == "native"
     assert get_backend().name == "reference"
 
 
 def test_use_backend_none_is_transparent():
-    set_default_backend("accelerated")
+    set_default_backend("native")
     with use_backend(None) as backend:
         assert backend is get_backend()
-        assert backend.name == "accelerated"
+        assert backend.name == "native"
 
 
 def test_flow_config_carries_backend():
@@ -175,7 +165,7 @@ def test_evaluator_ships_backend_name_to_workers():
 
     from repro.circuits.generators import paper_example_aig
 
-    set_default_backend("accelerated")
+    set_default_backend("native")
     try:
         _init_worker(pickle.dumps(paper_example_aig()), None, "reference")
         assert get_backend().name == "reference"
@@ -202,5 +192,5 @@ def test_cli_backends_table(capsys):
 
     assert main(["backends"]) == 0
     out = capsys.readouterr().out
-    assert "reference" in out and "accelerated" in out
+    assert "reference" in out and "native" in out
     assert "selected backend:" in out

@@ -1,10 +1,9 @@
-"""What GNN training on the fast backends holds on to: buffers and BLAS libraries.
+"""What GNN training on the fast backend holds on to: buffers and BLAS libraries.
 
-The ``accelerated`` backend (and ``native``, which inherits its GNN ops)
-trains through preallocated scratch buffers.  Those must be reused within a
-training run and freed with it, or a long-lived process that trains on one
-design after another (a service worker running ``flow`` jobs) keeps every
-batch shape it ever saw.  Training must also call numpy's BLAS only: a second
+The ``native`` backend trains through preallocated scratch buffers.  Those
+must be reused within a training run and freed with it, or a long-lived
+process that trains on one design after another (a service worker running
+``flow`` jobs) keeps every batch shape it ever saw.  Training must also call numpy's BLAS only: a second
 BLAS library brings a second thread pool that competes with numpy's for the
 same cores.
 """
@@ -26,7 +25,7 @@ from repro.features.dataset import FEATURE_DIM, GraphSample
 from repro.nn.model import ModelConfig
 from repro.nn.trainer import Trainer, TrainingConfig
 
-OPTIMIZED_BACKENDS = ("accelerated", "native")
+OPTIMIZED_BACKENDS = ("native",)
 
 _CHILD = """
 import sys

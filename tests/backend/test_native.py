@@ -1,19 +1,21 @@
-"""Native-backend specifics: engines, per-op fallback, compile cache, prewarm.
+"""Native-backend specifics: the engine, per-op fallback, compile cache, prewarm.
 
 The byte-identity of the native ops against the reference is covered by the
-parametrized ``test_backend_parity`` suite; this module covers what is
-unique to the native backend — engine resolution (numba / cc), the per-op
-degradation contract when no engine exists, the persistent compile cache
-(``BOOLGEBRA_NATIVE_CACHE``) with worker prewarm, and the whole-level
-cut-merge capability the enumerator feature-detects.
+``test_backend_parity`` suite; this module covers what is unique to the
+native backend — resolving the cc engine, the per-op degradation to the
+reference code when no engine exists (and ``auto`` still choosing native
+then), the persistent compile cache (``BOOLGEBRA_NATIVE_CACHE``) with worker
+prewarm, and the whole-level cut-merge capability the enumerator
+feature-detects.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import sys
+from collections import Counter
 
+import numpy as np
 import pytest
 
 from repro.aig.cuts import CutEnumerator
@@ -21,13 +23,14 @@ from repro.aig.random_aig import RandomAigSpec, random_aig
 from repro.aig.simulate import random_patterns, simulate_matrix
 from repro.backend import (
     OPS,
+    create_backend,
     prewarm_default_backend,
     reset_default_backend,
     set_default_backend,
     use_backend,
 )
-from repro.backend import native_kernels
-from repro.backend.native import NativeBackend
+from repro.backend import native_kernels, registry
+from repro.backend.native import _OP_LABELS, NativeBackend
 from repro.backend.reference import ReferenceBackend
 
 SPEC = RandomAigSpec(
@@ -62,26 +65,88 @@ def no_engine(monkeypatch):
     return NativeBackend()
 
 
+@pytest.fixture()
+def degraded_native(no_engine, monkeypatch):
+    """``no_engine`` installed as the registry's ``native`` instance."""
+    monkeypatch.setitem(registry._INSTANCES, "native", no_engine)
+    return no_engine
+
+
 def _degraded(monkeypatch):
     monkeypatch.setattr(
         native_kernels, "load_engine", lambda: (None, "engines-unavailable")
     )
 
 
+def _counting(counter, op, function):
+    def counted(*args, **kwargs):
+        counter[op] += 1
+        return function(*args, **kwargs)
+
+    return counted
+
+
 # --------------------------------------------------------------------------- #
-# Per-op fallback (simulated missing numba / cc)
+# Per-op fallback (simulated missing compiler)
 # --------------------------------------------------------------------------- #
 def test_no_engine_reports_fallback_support(no_engine):
     support = no_engine.op_support()
     assert set(support) >= set(OPS)
-    for op in (
-        "simulate_level_step",
-        "cut_table_exact",
-        "cut_level_merge",
-        "resub_one_match",
-        "sweep_commit",
-    ):
-        assert support[op] == "fallback:accelerated(engines-unavailable)"
+    for op in _OP_LABELS:
+        assert support[op] == "fallback:reference(engines-unavailable)"
+
+
+def test_degraded_native_script_runs_reference_code(degraded_native, monkeypatch):
+    from repro.engine import Engine
+    from repro.io.aiger import aiger_ascii
+
+    def optimized(backend_name):
+        engine = Engine.load("b08")
+        with use_backend(backend_name):
+            engine.run("rw; rf; rs; b")
+        return aiger_ascii(engine.aig)
+
+    expected = optimized("reference")
+    # Every call of a compiled op must land in the reference's own code.
+    # (cut_level_merge has no reference counterpart: it returns None.)
+    ops = set(_OP_LABELS) - {"cut_level_merge"}
+    entered, served = Counter(), Counter()
+    for op in ops:
+        monkeypatch.setattr(
+            degraded_native, op, _counting(entered, op, getattr(degraded_native, op))
+        )
+        monkeypatch.setattr(
+            ReferenceBackend, op, _counting(served, op, getattr(ReferenceBackend, op))
+        )
+    assert optimized("native") == expected
+    assert set(entered) == ops
+    assert served == entered
+
+
+def test_degraded_native_training_matches_reference(degraded_native):
+    from repro.features.dataset import FEATURE_DIM, GraphSample
+    from repro.nn.model import ModelConfig
+    from repro.nn.trainer import Trainer, TrainingConfig
+
+    rng = np.random.default_rng(5)
+    edges = np.array([[0, 1, 2, 3, 1], [1, 2, 3, 4, 4]])
+    samples = [
+        GraphSample("g", rng.random((5, FEATURE_DIM)), edges, float(rng.random()), 0, 5)
+        for _ in range(8)
+    ]
+
+    def fit(backend_name):
+        trainer = Trainer(
+            config=TrainingConfig.fast(epochs=2, seed=3),
+            model_config=ModelConfig.small(),
+            backend=backend_name,
+        )
+        history = trainer.fit(samples[:6], samples[6:])
+        weights = b"".join(p.value.tobytes() for p in trainer.model.parameters())
+        predictions = trainer.predict(samples).tobytes()
+        return history.train_loss, history.test_loss, weights, predictions
+
+    assert fit("native") == fit("reference")
 
 
 def test_no_engine_ops_identical_bytes(no_engine):
@@ -114,8 +179,6 @@ def test_no_engine_cut_level_merge_returns_none_and_enumerate_falls_back(
 ):
     _degraded(monkeypatch)
     backend = NativeBackend()
-    import numpy as np
-
     assert (
         backend.cut_level_merge(
             np.zeros((0, 9, 4), np.int64),
@@ -173,13 +236,17 @@ def test_enumerate_identical_under_native_engine(k):
 # --------------------------------------------------------------------------- #
 # Compile cache + prewarm
 # --------------------------------------------------------------------------- #
-def _force_cc(monkeypatch):
-    """Make load_engine take the cc branch even where numba is installed."""
-    monkeypatch.setitem(sys.modules, "numba", None)  # import numba -> ImportError
+def test_auto_is_native_without_a_compiler(fresh_cache, monkeypatch):
+    # No compiler and an empty cache: auto still resolves to native, which
+    # then serves every compiled op from the reference code.
+    monkeypatch.setattr(native_kernels, "find_compiler", lambda: None)
+    assert create_backend("auto").name == "native"
+    backend = NativeBackend()
+    assert backend.engine_name() is None
+    assert backend.op_support()["cut_table_exact"] == "fallback:reference(cc: RuntimeError)"
 
 
 def test_cc_cache_artifact_created_and_reused(fresh_cache, monkeypatch):
-    _force_cc(monkeypatch)
     if native_kernels.find_compiler() is None:
         pytest.skip("no C compiler on PATH")
     kernels, reason = native_kernels.load_engine()
@@ -200,7 +267,6 @@ def test_cc_cache_artifact_created_and_reused(fresh_cache, monkeypatch):
 
 
 def test_prewarm_default_backend_warms_native(fresh_cache, monkeypatch):
-    _force_cc(monkeypatch)
     if native_kernels.find_compiler() is None:
         pytest.skip("no C compiler on PATH")
     set_default_backend("reference")
@@ -243,5 +309,5 @@ def test_cli_backends_json_reports_native_engine(capsys):
     assert main(["backends", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     native = payload["backends"]["native"]
-    assert "engine" in native  # "numba", "cc", or null when degraded
+    assert "engine" in native  # "cc", or null when degraded
     assert "cut_level_merge" in native["ops"]

@@ -19,7 +19,6 @@ from repro.aig.aig import Aig
 from repro.aig.equivalence import check_equivalence
 from repro.aig.kernels import expand_region, levelized
 from repro.aig.random_aig import RandomAigSpec, random_aig
-from repro.aig.truth import cut_truth_table
 from repro.circuits.benchmarks import load_benchmark
 from repro.orchestration.decision import DecisionVector, Operation
 from repro.orchestration.orchestrate import orchestrate
@@ -33,7 +32,6 @@ from repro.synth.scripts import (
 )
 from repro.synth.sweep import (
     SweepParams,
-    batched_cut_tables,
     commit_candidates,
     score_refactors,
     score_resubs,
@@ -124,46 +122,6 @@ def test_sweep_script_equivalent_on_benchmarks(design):
 # --------------------------------------------------------------------------- #
 # Scoring internals
 # --------------------------------------------------------------------------- #
-def test_batched_cut_tables_match_exact():
-    aig = _random(13, num_ands=150)
-    view = levelized(aig)
-    from repro.aig.cuts import CutEnumerator
-
-    cuts = CutEnumerator(k=4, cuts_per_node=8).enumerate(aig)
-    work = [
-        (node, cut.leaves)
-        for node, node_cuts in cuts.items()
-        if aig.is_and(node)
-        for cut in node_cuts
-        if not cut.is_trivial() and cut.size >= 2
-    ]
-    tables = batched_cut_tables(aig, view, work, num_patterns=512, seed=3)
-    checked = 0
-    for (root, leaves), table in tables.items():
-        if table is None:
-            continue  # incomplete coverage: caller falls back to the exact walk
-        assert table == cut_truth_table(aig, root, list(leaves))
-        checked += 1
-    assert checked > 0
-
-
-def test_batched_cut_tables_large_cuts_fall_back_exactly():
-    """Cuts with more than 6 leaves must take the exact fallback path.
-
-    The packed-table arithmetic lives in single uint64 words, which silently
-    wraps for 2**size > 64 — regression test for the k=8 rewrite bug.
-    """
-    aig = _random(3, num_ands=180, num_pis=9)
-    view = levelized(aig)
-    node = max(aig.nodes(), key=lambda n: aig.level(n))
-    from repro.aig.reconv_cut import reconvergence_driven_cut
-
-    leaves = tuple(reconvergence_driven_cut(aig, node, max_leaves=8))
-    if len(leaves) > 6:
-        tables = batched_cut_tables(aig, view, [(node, leaves)], num_patterns=512)
-        assert tables[(node, leaves)] is None
-
-
 def test_sweep_rewrite_large_cut_size_equivalent():
     """`rw -K 8 -C 40` (user-reachable options) must stay function-preserving."""
     from repro.synth.rewrite import RewriteParams
