@@ -14,9 +14,14 @@ pre-filtered before the exact subset check.  Per node the enumeration keeps
 three parallel arrays (leaf tuples, signatures, leaf sets) instead of building
 a frozen :class:`Cut` object per merge attempt; :class:`Cut` objects are only
 materialized for the final result.  The historical object-per-merge
-implementation is retained as :meth:`CutEnumerator.enumerate_reference` /
-:func:`local_cuts_reference`; both paths produce identical cut lists in
-identical order, which the test-suite asserts.
+implementation is retained as :meth:`CutEnumerator.enumerate_reference`; both
+paths produce identical cut lists in identical order, which the test-suite
+asserts (it also keeps an object-per-merge oracle for :func:`local_cuts`).
+
+:func:`local_cuts` has a compiled twin: the native backend's
+``local_cut_tables`` op replays it step for step, for a batch of roots at
+once, and returns each cut's truth table with it (see
+:func:`repro.synth.sweep.score_rewrites`).
 """
 
 from __future__ import annotations
@@ -691,44 +696,3 @@ def local_cuts(
         return [Cut(node, (node,))]
     return [Cut(node, leaves) for leaves in store[node][0]]
 
-
-def local_cuts_reference(
-    aig: Aig,
-    node: int,
-    k: int = 4,
-    cuts_per_node: int = 8,
-    max_region: int = 40,
-    max_depth: int = 6,
-) -> List[Cut]:
-    """Reference object-per-merge implementation of :func:`local_cuts`.
-
-    Kept for the equivalence test-suite; must produce identical cut lists in
-    identical order to :func:`local_cuts`.
-    """
-    if not aig.is_and(node):
-        return [Cut(node, (node,))]
-    cut_sets: Dict[int, CutSet] = {}
-
-    def boundary_cutset(boundary: int) -> CutSet:
-        cut_set = cut_sets.get(boundary)
-        if cut_set is None:
-            cut_set = CutSet(boundary, [Cut(boundary, (boundary,))])
-            cut_sets[boundary] = cut_set
-        return cut_set
-
-    for current in _local_region_order(aig, node, max_region, max_depth):
-        f0 = lit_var(aig.fanin0(current))
-        f1 = lit_var(aig.fanin1(current))
-        set0 = cut_sets.get(f0) or boundary_cutset(f0)
-        set1 = cut_sets.get(f1) or boundary_cutset(f1)
-        merged = CutSet(current)
-        for cut0 in set0.cuts:
-            for cut1 in set1.cuts:
-                leaves = tuple(sorted(set(cut0.leaves) | set(cut1.leaves)))
-                if len(leaves) > k:
-                    continue
-                merged.add(Cut(current, leaves), cuts_per_node)
-        merged.add(Cut(current, (current,)), cuts_per_node + 1)
-        cut_sets[current] = merged
-
-    return list(cut_sets[node].cuts) if node in cut_sets else [Cut(node, (node,))]

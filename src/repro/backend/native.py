@@ -7,6 +7,9 @@ overrides two groups of ops:
   cut-merge popcount prefilter, the exact cone-walk truth table, resub
   similarity ranking and the 8-combo one-match scan, and the sweep-commit
   conflict screen: the ops whose remaining cost is Python loop overhead.
+  Two capability ops go further, replacing whole Python loops: the
+  whole-level priority-cut merge of the global enumeration and the
+  local-region cuts (with their truth tables) of small rescore sets.
   They run in :mod:`repro.backend.native_kernels`, a small C source built
   once with the system compiler into a shared library loaded via ctypes.
 * **GNN float ops** — the GraphSAGE aggregation ``A @ X`` and its
@@ -68,6 +71,7 @@ _OP_LABELS = {
     "cut_merge_filter": "popcount-prefilter",
     "cut_table_exact": "cone-walk",
     "cut_level_merge": "whole-level-merge",
+    "local_cut_tables": "local-region-cuts",
     "resub_rank_divisors": "popcount-similarity",
     "resub_one_match": "8-combo-scan",
     "sweep_commit": "bitmap-conflict-screen",
@@ -102,11 +106,16 @@ class _Workspaces:
 
 
 class _ConeScratch:
-    """Per-snapshot scratch of the compiled cone walk (epoch-stamped).
+    """Per-snapshot scratch of the compiled cut walks (epoch-stamped).
 
-    Owns every array the walk touches plus the engine-built ``walk``
-    closure, which holds raw pointers into those arrays — keeping both on
-    one object guarantees the pointers cannot outlive their storage.
+    Owns every array the cone walk and the local-region kernel touch, plus
+    the engine-built ``walk`` closure and the kernel's args block, which
+    hold raw pointers into those arrays — keeping them on one object
+    guarantees the pointers cannot outlive their storage.  Both kernels
+    share the table scratch and its epoch counter.  The walk's pending
+    stack is built on the walk's first use: a snapshot scored only through
+    the local-region kernel (and kept alive by a sampled copy) never pays
+    for it.
     """
 
     __slots__ = (
@@ -119,34 +128,109 @@ class _ConeScratch:
         "out",
         "epoch",
         "walk",
+        "is_and",
+        "region",
+        "visit",
+        "local",
+        "local_args",
     )
 
-    def __init__(self, view: Any, kernels: Any) -> None:
+    def __init__(self, view: Any) -> None:
         self.fanin0 = np.array(view._fanin0_list, dtype=np.int64)
         self.fanin1 = np.array(view._fanin1_list, dtype=np.int64)
         slots = self.fanin0.shape[0]
         self.tables = np.zeros(slots, dtype=np.uint64)
         self.stamp = np.zeros(slots, dtype=np.uint32)
-        self.stack = np.zeros(_CONE_STACK, dtype=np.int64)
-        self.leaves = np.zeros(6, dtype=np.int64)
-        self.out = np.zeros(1, dtype=np.uint64)
         self.epoch = 0
-        self.walk = kernels.cone_walker(
-            self.fanin0,
-            self.fanin1,
-            self.leaves,
-            self.tables,
-            self.stamp,
-            self.stack,
-            self.out,
-        )
+        self.walk = None
+        self.is_and = np.array(view._is_and_list, dtype=np.uint8)
+        self.region = np.zeros(slots, dtype=np.uint32)
+        self.visit = np.zeros(slots, dtype=np.uint32)
+        self.local = np.zeros(slots, dtype=np.int64)
+        # The local-region kernel's args block (layout in the kernel source):
+        # the per-snapshot slots are filled here, the rest per call.
+        self.local_args = np.zeros(26, dtype=np.int64)
+        self.local_args[:9] = [
+            array.ctypes.data
+            for array in (
+                self.fanin0, self.fanin1, self.is_and, self.tables,
+                self.stamp, self.region, self.visit, self.local,
+            )
+        ] + [slots]
+
+    def cone_walk(self, kernels):
+        """The engine's cone-walk closure over this scratch (built once)."""
+        if self.walk is None:
+            self.stack = np.zeros(_CONE_STACK, dtype=np.int64)
+            self.leaves = np.zeros(6, dtype=np.int64)
+            self.out = np.zeros(1, dtype=np.uint64)
+            self.walk = kernels.cone_walker(
+                self.fanin0,
+                self.fanin1,
+                self.leaves,
+                self.tables,
+                self.stamp,
+                self.stack,
+                self.out,
+            )
+        return self.walk
 
     def next_epoch(self) -> int:
         self.epoch += 1
         if self.epoch >= 0xFFFFFFFF:
             self.stamp[:] = 0
+            self.region[:] = 0
+            self.visit[:] = 0
             self.epoch = 1
         return self.epoch
+
+    def local_cuts(self, kernels, roots, k, limit, max_region, max_depth):
+        """``[(leaves, table), ...]`` per root from the local-region kernel.
+
+        None when the kernel declines.  Only slot-sized arrays live on the
+        scratch; the region-sized work arrays and the outputs are allocated
+        per call (uninitialized: the kernel writes before it reads), so a
+        snapshot kept alive holds no per-call memory.
+        """
+        slots = self.fanin0.shape[0]
+        # A region holds distinct AND nodes (fewer than ``slots``), the BFS
+        # runs out of frontier within ``slots`` levels and a bound <= 0 means
+        # an empty region, so clamping both bounds to [0, slots + 1] changes
+        # nothing but keeps them in int64.
+        max_region = max(0, min(max_region, slots + 1))
+        max_depth = max(0, min(max_depth, slots + 1))
+        cap = max(1, min(max_region, slots))  # >= any region's size
+        count = len(roots)
+        root_array = np.array(roots, dtype=np.int64)
+        if count and (root_array.min() < 0 or root_array.max() >= slots):
+            raise ValueError("local_cut_tables: roots must be node ids of the snapshot")
+        width = limit + 1
+        work = np.empty(8 * cap + 6, np.int64)
+        store = (
+            np.empty(cap * width * k, np.int64),
+            np.empty(cap * width, np.int64),
+            np.empty(cap * width, np.uint64),
+            np.empty(cap, np.int64),
+        )
+        out_l = np.empty((count, limit, k), np.int64)
+        out_s = np.empty((count, limit), np.int64)
+        out_t = np.empty((count, limit), np.uint64)
+        out_n = np.empty(count, np.int64)
+        args = self.local_args
+        args[9] = self.epoch
+        args[10:12] = [work.ctypes.data, cap]
+        args[12:16] = [array.ctypes.data for array in store]
+        args[16:22] = [root_array.ctypes.data, count, k, limit, max_region, max_depth]
+        args[22:26] = [array.ctypes.data for array in (out_l, out_s, out_t, out_n)]
+        err = kernels.local_cut_tables(args.ctypes.data)
+        self.epoch = int(args[9])
+        if err:  # pragma: no cover - the stack holds every path of a region
+            return None
+        leaves, sizes, tables = out_l.tolist(), out_s.tolist(), out_t.tolist()
+        return [
+            [(tuple(leaves[row][c][: sizes[row][c]]), tables[row][c]) for c in range(n)]
+            for row, n in enumerate(out_n.tolist())
+        ]
 
 
 class NativeBackend(ReferenceBackend):
@@ -273,31 +357,62 @@ class NativeBackend(ReferenceBackend):
     # ------------------------------------------------------------------ #
     # Sweep scoring
     # ------------------------------------------------------------------ #
+    @staticmethod
+    def _scratch(view) -> Optional[_ConeScratch]:
+        """The snapshot's compiled-walk scratch (built on first use).
+
+        None for views that are not :class:`~repro.aig.kernels.LevelizedAig`
+        snapshots with node arrays (duck-typed test views): the Python code
+        handles anything with fanin lists.
+        """
+        try:
+            scratch = view._native_scratch
+            fanin_count = len(view._fanin0_list)
+        except AttributeError:
+            return None
+        if scratch is None or scratch.fanin0.shape[0] != fanin_count:
+            if not fanin_count:
+                return None
+            scratch = _ConeScratch(view)
+            view._native_scratch = scratch
+        return scratch
+
     def cut_table_exact(self, view, root, leaves) -> int:
         kernels = self._kernels()
         num_vars = len(leaves)
         if kernels is None or num_vars > 6:
             return super().cut_table_exact(view, root, leaves)
-        try:
-            scratch = view._native_scratch
-            fanin_count = len(view._fanin0_list)
-        except AttributeError:
-            # Not a LevelizedAig snapshot (duck-typed test views): the
-            # Python walk handles anything with fanin lists.
+        scratch = self._scratch(view)
+        if scratch is None:
             return super().cut_table_exact(view, root, leaves)
-        if scratch is None or scratch.fanin0.shape[0] != fanin_count:
-            if not fanin_count:
-                return super().cut_table_exact(view, root, leaves)
-            scratch = _ConeScratch(view, kernels)
-            view._native_scratch = scratch
+        walk = scratch.cone_walk(kernels)
         leaf_tables, mask = _arity_meta(num_vars)
         scratch.leaves[:num_vars] = leaves
-        err, value = scratch.walk(
-            root, num_vars, leaf_tables, mask, scratch.next_epoch()
-        )
+        err, value = walk(root, num_vars, leaf_tables, mask, scratch.next_epoch())
         if err:  # pragma: no cover - requires a >8k-deep reconvergent cone
             return super().cut_table_exact(view, root, leaves)
         return value
+
+    def local_cut_tables(self, view, roots, k, cuts_per_node, max_region, max_depth):
+        """Each root's local-region cuts with their truth tables, or ``None``.
+
+        Capability beyond the portable op vocabulary, feature-detected by the
+        small-target branch of :func:`repro.synth.sweep.score_rewrites`: for
+        every root of ``roots``, the non-trivial cuts of
+        :func:`repro.aig.cuts.local_cuts` in its order, each as ``(leaves,
+        table)`` with the table of :func:`repro.aig.truth.cut_truth_table`,
+        all from one compiled call on the frozen snapshot ``view`` (with its
+        node arrays ensured).  ``None`` — no compiled engine, tables wider than
+        64 bits (``k > 6``), more cuts than the kernel's cap, or no snapshot
+        — sends the caller to the per-node finder.
+        """
+        kernels = self._kernels()
+        if kernels is None or not 1 <= k <= 6 or not 1 <= cuts_per_node < 64:
+            return None
+        scratch = self._scratch(view)
+        if scratch is None:
+            return None
+        return scratch.local_cuts(kernels, roots, k, cuts_per_node, max_region, max_depth)
 
     # ------------------------------------------------------------------ #
     # Resubstitution matching

@@ -196,22 +196,146 @@ static int bg_key_less(
     return 0;
 }
 
-/* Merge the fanin cut lists of every node of one level into its stored
- * (non-trivial) cut list: the compiled form of the Python merge loop in
- * repro.aig.cuts (cut_merge_filter feasibility prefilter + _insert_cut),
- * replicated decision for decision — folded-signature popcount prefilter,
- * exact sorted-union, antichain maintenance (reject dominated inserts,
- * drop dominated stored cuts), and the priority limit with its
- * sorted-prefix state machine (capacity shortcut, bisect insert of a lone
- * appended tail, stable sort-and-truncate otherwise).  Any change to the
- * Python merge semantics must be applied here too, or the asserted
- * identity between the enumeration paths breaks.
+/* Merge two fanin cut lists into one node's stored (non-trivial) cut list:
+ * the compiled form of repro.aig.cuts._merge_cut_lists, shared by the
+ * global and the local enumeration and replicated decision for decision —
+ * folded-signature popcount prefilter, exact sorted-union, antichain
+ * maintenance (reject dominated inserts, drop dominated stored cuts), and
+ * the priority limit with its sorted-prefix state machine (capacity
+ * shortcut, bisect insert of a lone appended tail, stable sort-and-truncate
+ * otherwise).  Any change to the Python merge semantics must be applied
+ * here too, or the asserted identity between the enumeration paths breaks.
  *
- * Cut lists arrive as padded per-row matrices: leaves[width][k] (each cut's
- * leaves sorted ascending), sizes[width], sigs[width], counts[row].  Rows
- * flagged in skip[] (memoized merges) are left empty for the caller to
- * fill.  Output rows use the same layout with capacity width >= limit + 1.
- */
+ * A cut list is leaves[n][k] (each cut's leaves sorted ascending), sizes[n]
+ * and sigs[n]; the output needs room for limit + 1 cuts.  Returns the
+ * number of cuts stored. */
+static int64_t bg_merge_row(
+    const int64_t* l0, const int64_t* s0, const uint64_t* g0, int64_t n0,
+    const int64_t* l1, const int64_t* s1, const uint64_t* g1, int64_t n1,
+    int64_t k, int64_t limit, int64_t* ol, int64_t* os, uint64_t* og)
+{
+    int64_t length = 0;
+    int64_t sorted_len = 0;
+    for (int64_t a = 0; a < n0; a++) {
+        const int64_t* la = l0 + a * k;
+        int64_t sa = s0[a];
+        uint64_t siga = g0[a];
+        for (int64_t b = 0; b < n1; b++) {
+            uint64_t sig = siga | g1[b];
+            if (BG_POPCOUNT(sig) > k) continue;
+            const int64_t* lb = l1 + b * k;
+            int64_t sb = s1[b];
+            int64_t merged[BG_CUT_CAP];
+            int64_t msize = 0;
+            int64_t i = 0, j = 0;
+            while (i < sa || j < sb) {
+                int64_t v;
+                if (j >= sb || (i < sa && la[i] < lb[j])) v = la[i++];
+                else if (i >= sa || lb[j] < la[i]) v = lb[j++];
+                else { v = la[i]; i++; j++; }
+                if (msize >= k) { msize = k + 1; break; }
+                merged[msize++] = v;
+            }
+            if (msize > k) continue;
+            if (length > limit - 1 && sorted_len == length) {
+                /* At capacity and fully sorted: keys not below the
+                 * current maximum are guaranteed no-ops. */
+                if (!bg_key_less(msize, merged, os[length - 1],
+                                 ol + (length - 1) * k))
+                    continue;
+            }
+            int dominated = 0, drop_any = 0;
+            for (int64_t e = 0; e < length; e++) {
+                uint64_t inter = og[e] & sig;
+                if (inter == og[e] &&
+                    bg_leaves_subset(ol + e * k, os[e], merged, msize)) {
+                    dominated = 1;
+                    break;
+                }
+                if (inter == sig &&
+                    bg_leaves_subset(merged, msize, ol + e * k, os[e]))
+                    drop_any = 1;
+            }
+            if (dominated) continue;
+            if (drop_any) {
+                for (int64_t e = length - 1; e >= 0; e--) {
+                    if ((sig & og[e]) == sig &&
+                        bg_leaves_subset(merged, msize, ol + e * k, os[e])) {
+                        for (int64_t m = e; m < length - 1; m++) {
+                            for (int64_t w = 0; w < k; w++)
+                                ol[m * k + w] = ol[(m + 1) * k + w];
+                            os[m] = os[m + 1];
+                            og[m] = og[m + 1];
+                        }
+                        length--;
+                        if (e < sorted_len) sorted_len--;
+                    }
+                }
+            }
+            for (int64_t w = 0; w < msize; w++) ol[length * k + w] = merged[w];
+            os[length] = msize;
+            og[length] = sig;
+            length++;
+            if (length > limit) {
+                if (sorted_len >= length - 1) {
+                    /* Sorted prefix + one appended tail: bisect-insert
+                     * the tail after its equals, drop the old maximum. */
+                    int64_t pos = 0;
+                    while (pos < length - 1 &&
+                           !bg_key_less(msize, merged, os[pos], ol + pos * k))
+                        pos++;
+                    int64_t tmp_s = os[length - 1];
+                    uint64_t tmp_g = og[length - 1];
+                    int64_t tmp_l[BG_CUT_CAP];
+                    for (int64_t w = 0; w < k; w++)
+                        tmp_l[w] = ol[(length - 1) * k + w];
+                    for (int64_t m = length - 2; m >= pos; m--) {
+                        for (int64_t w = 0; w < k; w++)
+                            ol[(m + 1) * k + w] = ol[m * k + w];
+                        os[m + 1] = os[m];
+                        og[m + 1] = og[m];
+                    }
+                    for (int64_t w = 0; w < k; w++) ol[pos * k + w] = tmp_l[w];
+                    os[pos] = tmp_s;
+                    og[pos] = tmp_g;
+                    length--;
+                } else {
+                    /* Stable insertion sort by (size, leaves); equal keys
+                     * keep their current order, then truncate. */
+                    for (int64_t m = 1; m < length; m++) {
+                        int64_t tmp_s = os[m];
+                        uint64_t tmp_g = og[m];
+                        int64_t tmp_l[BG_CUT_CAP];
+                        for (int64_t w = 0; w < k; w++)
+                            tmp_l[w] = ol[m * k + w];
+                        int64_t pos = m;
+                        while (pos > 0 &&
+                               bg_key_less(tmp_s, tmp_l, os[pos - 1],
+                                           ol + (pos - 1) * k)) {
+                            for (int64_t w = 0; w < k; w++)
+                                ol[pos * k + w] = ol[(pos - 1) * k + w];
+                            os[pos] = os[pos - 1];
+                            og[pos] = og[pos - 1];
+                            pos--;
+                        }
+                        for (int64_t w = 0; w < k; w++)
+                            ol[pos * k + w] = tmp_l[w];
+                        os[pos] = tmp_s;
+                        og[pos] = tmp_g;
+                    }
+                    length = limit;
+                }
+                sorted_len = limit;
+            }
+        }
+    }
+    return length;
+}
+
+/* The row merge over every node of one level.  Cut lists arrive as padded
+ * per-row matrices (row stride width >= limit + 1 cuts) with counts[row];
+ * rows flagged in skip[] (memoized merges) are left empty for the caller
+ * to fill.  Output rows use the same layout. */
 void bg_cut_level_merge(
     const int64_t* l0, const int64_t* s0, const uint64_t* g0, const int64_t* n0,
     const int64_t* l1, const int64_t* s1, const uint64_t* g1, const int64_t* n1,
@@ -222,132 +346,224 @@ void bg_cut_level_merge(
     for (int64_t row = 0; row < count; row++) {
         out_n[row] = 0;
         if (skip[row]) continue;
-        const int64_t* row_l0 = l0 + row * width * k;
-        const int64_t* row_s0 = s0 + row * width;
-        const uint64_t* row_g0 = g0 + row * width;
-        const int64_t* row_l1 = l1 + row * width * k;
-        const int64_t* row_s1 = s1 + row * width;
-        const uint64_t* row_g1 = g1 + row * width;
-        int64_t* ol = out_l + row * width * k;
-        int64_t* os = out_s + row * width;
-        uint64_t* og = out_g + row * width;
-        int64_t length = 0;
-        int64_t sorted_len = 0;
-        for (int64_t a = 0; a < n0[row]; a++) {
-            const int64_t* la = row_l0 + a * k;
-            int64_t sa = row_s0[a];
-            uint64_t siga = row_g0[a];
-            for (int64_t b = 0; b < n1[row]; b++) {
-                uint64_t sig = siga | row_g1[b];
-                if (BG_POPCOUNT(sig) > k) continue;
-                const int64_t* lb = row_l1 + b * k;
-                int64_t sb = row_s1[b];
-                int64_t merged[BG_CUT_CAP];
-                int64_t msize = 0;
-                int64_t i = 0, j = 0;
-                while (i < sa || j < sb) {
-                    int64_t v;
-                    if (j >= sb || (i < sa && la[i] < lb[j])) v = la[i++];
-                    else if (i >= sa || lb[j] < la[i]) v = lb[j++];
-                    else { v = la[i]; i++; j++; }
-                    if (msize >= k) { msize = k + 1; break; }
-                    merged[msize++] = v;
-                }
-                if (msize > k) continue;
-                if (length > limit - 1 && sorted_len == length) {
-                    /* At capacity and fully sorted: keys not below the
-                     * current maximum are guaranteed no-ops. */
-                    if (!bg_key_less(msize, merged, os[length - 1],
-                                     ol + (length - 1) * k))
-                        continue;
-                }
-                int dominated = 0, drop_any = 0;
-                for (int64_t e = 0; e < length; e++) {
-                    uint64_t inter = og[e] & sig;
-                    if (inter == og[e] &&
-                        bg_leaves_subset(ol + e * k, os[e], merged, msize)) {
-                        dominated = 1;
-                        break;
-                    }
-                    if (inter == sig &&
-                        bg_leaves_subset(merged, msize, ol + e * k, os[e]))
-                        drop_any = 1;
-                }
-                if (dominated) continue;
-                if (drop_any) {
-                    for (int64_t e = length - 1; e >= 0; e--) {
-                        if ((sig & og[e]) == sig &&
-                            bg_leaves_subset(merged, msize, ol + e * k, os[e])) {
-                            for (int64_t m = e; m < length - 1; m++) {
-                                for (int64_t w = 0; w < k; w++)
-                                    ol[m * k + w] = ol[(m + 1) * k + w];
-                                os[m] = os[m + 1];
-                                og[m] = og[m + 1];
-                            }
-                            length--;
-                            if (e < sorted_len) sorted_len--;
-                        }
-                    }
-                }
-                for (int64_t w = 0; w < msize; w++) ol[length * k + w] = merged[w];
-                os[length] = msize;
-                og[length] = sig;
-                length++;
-                if (length > limit) {
-                    if (sorted_len >= length - 1) {
-                        /* Sorted prefix + one appended tail: bisect-insert
-                         * the tail after its equals, drop the old maximum. */
-                        int64_t pos = 0;
-                        while (pos < length - 1 &&
-                               !bg_key_less(msize, merged, os[pos], ol + pos * k))
-                            pos++;
-                        int64_t tmp_s = os[length - 1];
-                        uint64_t tmp_g = og[length - 1];
-                        int64_t tmp_l[BG_CUT_CAP];
-                        for (int64_t w = 0; w < k; w++)
-                            tmp_l[w] = ol[(length - 1) * k + w];
-                        for (int64_t m = length - 2; m >= pos; m--) {
-                            for (int64_t w = 0; w < k; w++)
-                                ol[(m + 1) * k + w] = ol[m * k + w];
-                            os[m + 1] = os[m];
-                            og[m + 1] = og[m];
-                        }
-                        for (int64_t w = 0; w < k; w++) ol[pos * k + w] = tmp_l[w];
-                        os[pos] = tmp_s;
-                        og[pos] = tmp_g;
-                        length--;
-                    } else {
-                        /* Stable insertion sort by (size, leaves); equal keys
-                         * keep their current order, then truncate. */
-                        for (int64_t m = 1; m < length; m++) {
-                            int64_t tmp_s = os[m];
-                            uint64_t tmp_g = og[m];
-                            int64_t tmp_l[BG_CUT_CAP];
-                            for (int64_t w = 0; w < k; w++)
-                                tmp_l[w] = ol[m * k + w];
-                            int64_t pos = m;
-                            while (pos > 0 &&
-                                   bg_key_less(tmp_s, tmp_l, os[pos - 1],
-                                               ol + (pos - 1) * k)) {
-                                for (int64_t w = 0; w < k; w++)
-                                    ol[pos * k + w] = ol[(pos - 1) * k + w];
-                                os[pos] = os[pos - 1];
-                                og[pos] = og[pos - 1];
-                                pos--;
-                            }
-                            for (int64_t w = 0; w < k; w++)
-                                ol[pos * k + w] = tmp_l[w];
-                            os[pos] = tmp_s;
-                            og[pos] = tmp_g;
-                        }
-                        length = limit;
-                    }
-                    sorted_len = limit;
+        out_n[row] = bg_merge_row(
+            l0 + row * width * k, s0 + row * width, g0 + row * width, n0[row],
+            l1 + row * width * k, s1 + row * width, g1 + row * width, n1[row],
+            k, limit,
+            out_l + row * width * k, out_s + row * width, out_g + row * width);
+    }
+}
+
+/* ---- Local-region cuts with their truth tables ----------------------- */
+
+/* Patterns of truth-table variables 0..5 over 64 minterms. */
+static const uint64_t BG_VAR_TABLES[6] = {
+    0xAAAAAAAAAAAAAAAAull, 0xCCCCCCCCCCCCCCCCull, 0xF0F0F0F0F0F0F0F0ull,
+    0xFF00FF00FF00FF00ull, 0xFFFF0000FFFF0000ull, 0xFFFFFFFF00000000ull,
+};
+
+/* The next scratch epoch; on wrap-around every stamp array is cleared. */
+static uint32_t bg_next_epoch(
+    int64_t* epoch, uint32_t* stamp, uint32_t* region, uint32_t* visit,
+    int64_t slots)
+{
+    if (*epoch >= 0xFFFFFFFFll - 1) {
+        for (int64_t i = 0; i < slots; i++) stamp[i] = region[i] = visit[i] = 0;
+        *epoch = 0;
+    }
+    *epoch += 1;
+    return (uint32_t)*epoch;
+}
+
+/* For a batch of roots, repro.aig.cuts.local_cuts replayed step for step,
+ * plus repro.aig.truth.cut_truth_table of every non-trivial cut:
+ *
+ * 1. the bounded reverse BFS of _local_region_order (duplicates stay in the
+ *    frontier; the region-size break fires inside the frontier loop);
+ * 2. its DFS post-order over the region, pushing fanin1 before fanin0;
+ * 3. the bottom-up merge through bg_merge_row, where a boundary fanin
+ *    carries only its trivial cut and a region node appends its trivial
+ *    cut after the merged ones;
+ * 4. per non-trivial cut of the root, an epoch-stamped cone walk with leaf
+ *    i as variable i and the constant node set after the leaves.
+ *
+ * All operands arrive through one int64 args block (pointers as int64):
+ *   [0]=fanin0 [1]=fanin1 (int64 literals per slot) [2]=is_and (uint8)
+ *   [3]=tables (uint64) [4]=stamp [5]=region [6]=visit (uint32 per slot)
+ *   [7]=local (int64 per slot: position in the region order)
+ *   [8]=num_slots [9]=epoch (read and written back)
+ *   [10]=work (int64, 8 * cap + 6) [11]=cap (>= the region size)
+ *   [12..15]=region cut store: leaves, sizes, sigs, counts (cap rows of
+ *            limit + 1 cuts)
+ *   [16]=roots [17]=num_roots [18]=k [19]=limit [20]=max_region
+ *   [21]=max_depth
+ *   [22..25]=output per root: leaves[limit][k], sizes[limit],
+ *            tables[limit] (uint64), counts
+ * Returns nonzero when a cone walk would overflow its stack (the caller
+ * declines); the stack holds every path of the region, so it never does. */
+int bg_local_cut_tables(int64_t* args)
+{
+    const int64_t* fanin0 = (const int64_t*)args[0];
+    const int64_t* fanin1 = (const int64_t*)args[1];
+    const uint8_t* is_and = (const uint8_t*)args[2];
+    uint64_t* tables = (uint64_t*)args[3];
+    uint32_t* stamp = (uint32_t*)args[4];
+    uint32_t* region = (uint32_t*)args[5];
+    uint32_t* visit = (uint32_t*)args[6];
+    int64_t* local = (int64_t*)args[7];
+    int64_t slots = args[8];
+    int64_t epoch = args[9];
+    int64_t cap = args[11];
+    int64_t* order = (int64_t*)args[10];
+    int64_t* front_a = order + cap;
+    int64_t* front_b = front_a + 2 * cap + 2;
+    int64_t* stack = front_b + 2 * cap + 2;
+    int64_t stack_cap = 3 * cap + 2;
+    int64_t* store_l = (int64_t*)args[12];
+    int64_t* store_s = (int64_t*)args[13];
+    uint64_t* store_g = (uint64_t*)args[14];
+    int64_t* store_n = (int64_t*)args[15];
+    const int64_t* roots = (const int64_t*)args[16];
+    int64_t num_roots = args[17];
+    int64_t k = args[18];
+    int64_t limit = args[19];
+    int64_t max_region = args[20];
+    int64_t max_depth = args[21];
+    int64_t* out_l = (int64_t*)args[22];
+    int64_t* out_s = (int64_t*)args[23];
+    uint64_t* out_t = (uint64_t*)args[24];
+    int64_t* out_n = (int64_t*)args[25];
+    int64_t width = limit + 1;
+    int err = 0;
+    for (int64_t r = 0; r < num_roots && !err; r++) {
+        int64_t root = roots[r];
+        out_n[r] = 0;
+        if (!is_and[root]) continue;
+        uint32_t e = bg_next_epoch(&epoch, stamp, region, visit, slots);
+        /* 1. Bounded reverse BFS. */
+        int64_t nf = 0, size = 0, depth = 0;
+        front_a[nf++] = root;
+        while (nf > 0 && depth < max_depth && size < max_region) {
+            int64_t nn = 0;
+            for (int64_t i = 0; i < nf; i++) {
+                int64_t cur = front_a[i];
+                if (region[cur] == e || !is_and[cur]) continue;
+                region[cur] = e;
+                size++;
+                if (size >= max_region) break;
+                front_b[nn++] = fanin0[cur] >> 1;
+                front_b[nn++] = fanin1[cur] >> 1;
+            }
+            int64_t* swap = front_a;
+            front_a = front_b;
+            front_b = swap;
+            nf = nn;
+            depth++;
+        }
+        /* 2. DFS post-order; an entry is node << 1 | expanded. */
+        int64_t count = 0, sp = 0;
+        stack[sp++] = root << 1;
+        while (sp > 0) {
+            int64_t entry = stack[--sp];
+            int64_t cur = entry >> 1;
+            if (entry & 1) {
+                local[cur] = count;
+                order[count++] = cur;
+                continue;
+            }
+            if (visit[cur] == e || region[cur] != e) continue;
+            visit[cur] = e;
+            stack[sp++] = (cur << 1) | 1;
+            stack[sp++] = (fanin1[cur] >> 1) << 1;
+            stack[sp++] = (fanin0[cur] >> 1) << 1;
+        }
+        if (count == 0) continue;
+        /* 3. Bottom-up merge over the region. */
+        for (int64_t idx = 0; idx < count; idx++) {
+            int64_t cur = order[idx];
+            int64_t fanins[2] = {fanin0[cur] >> 1, fanin1[cur] >> 1};
+            const int64_t* fl[2];
+            const int64_t* fs[2];
+            const uint64_t* fg[2];
+            int64_t fn[2];
+            int64_t trivial_s[2] = {1, 1};
+            uint64_t trivial_g[2];
+            for (int side = 0; side < 2; side++) {
+                int64_t f = fanins[side];
+                if (visit[f] == e) {
+                    int64_t at = local[f];
+                    fl[side] = store_l + at * width * k;
+                    fs[side] = store_s + at * width;
+                    fg[side] = store_g + at * width;
+                    fn[side] = store_n[at];
+                } else {
+                    /* A boundary leaf: only its trivial cut {f}. */
+                    trivial_g[side] = 1ull << (f & 63);
+                    fl[side] = &fanins[side];
+                    fs[side] = &trivial_s[side];
+                    fg[side] = &trivial_g[side];
+                    fn[side] = 1;
                 }
             }
+            int64_t* ol = store_l + idx * width * k;
+            int64_t* os = store_s + idx * width;
+            uint64_t* og = store_g + idx * width;
+            int64_t length = bg_merge_row(
+                fl[0], fs[0], fg[0], fn[0], fl[1], fs[1], fg[1], fn[1],
+                k, limit, ol, os, og);
+            ol[length * k] = cur;
+            os[length] = 1;
+            og[length] = 1ull << (cur & 63);
+            store_n[idx] = length + 1;
         }
-        out_n[row] = length;
+        /* 4. The root (last in post-order): its merged cuts and tables. */
+        int64_t at = count - 1;
+        int64_t cuts = store_n[at] - 1;
+        out_n[r] = cuts;
+        for (int64_t c = 0; c < cuts; c++) {
+            const int64_t* leaves = store_l + (at * width + c) * k;
+            int64_t n = store_s[at * width + c];
+            int64_t* dst = out_l + (r * limit + c) * k;
+            for (int64_t w = 0; w < n; w++) dst[w] = leaves[w];
+            out_s[r * limit + c] = n;
+            uint64_t mask = n >= 6 ? ~0ull : (1ull << (1 << n)) - 1;
+            uint32_t t = bg_next_epoch(&epoch, stamp, region, visit, slots);
+            for (int64_t w = 0; w < n; w++) {
+                tables[leaves[w]] = BG_VAR_TABLES[w] & mask;
+                stamp[leaves[w]] = t;
+            }
+            tables[0] = 0;
+            stamp[0] = t;
+            int64_t top = 0;
+            if (stamp[root] != t) stack[top++] = root;
+            while (top > 0) {
+                int64_t node = stack[top - 1];
+                int64_t f0 = fanin0[node];
+                int64_t f1 = fanin1[node];
+                int64_t v0 = f0 >> 1;
+                int64_t v1 = f1 >> 1;
+                int k0 = stamp[v0] == t;
+                int k1 = stamp[v1] == t;
+                if (k0 && k1) {
+                    uint64_t t0 = tables[v0];
+                    uint64_t t1 = tables[v1];
+                    if (f0 & 1) t0 ^= mask;
+                    if (f1 & 1) t1 ^= mask;
+                    tables[node] = t0 & t1;
+                    stamp[node] = t;
+                    top--;
+                } else {
+                    if (top + 2 > stack_cap) { err = 1; break; }
+                    if (!k0) stack[top++] = v0;
+                    if (!k1) stack[top++] = v1;
+                }
+            }
+            if (err) break;
+            out_t[r * limit + c] = tables[root];
+        }
     }
+    args[9] = epoch;
+    return err;
 }
 
 /* min(popcount(t ^ target), popcount(t ^ target ^ mask)) per divisor —
@@ -532,6 +748,8 @@ class CcKernels:
             i64, i64, i64, i64, ptr, ptr, ptr, ptr,
         ]
         lib.bg_cut_level_merge.restype = None
+        lib.bg_local_cut_tables.argtypes = [ptr]
+        lib.bg_local_cut_tables.restype = ctypes.c_int
         lib.bg_resub_similarity.argtypes = [ptr, ptr, ptr, i64, i64, ptr]
         lib.bg_resub_similarity.restype = None
         lib.bg_resub_one_match.argtypes = [ptr, ptr, ptr, i64, i64, ptr]
@@ -547,6 +765,7 @@ class CcKernels:
         self._fn_merge = lib.bg_cut_merge_filter
         self._fn_cone = lib.bg_cut_table_exact
         self._fn_level_merge = lib.bg_cut_level_merge
+        self._fn_local_cuts = lib.bg_local_cut_tables
         self._fn_similarity = lib.bg_resub_similarity
         self._fn_one_match = lib.bg_resub_one_match
         self._fn_bitmap_any = lib.bg_bitmap_any
@@ -654,6 +873,10 @@ class CcKernels:
             out_g.ctypes.data,
             out_n.ctypes.data,
         )
+
+    def local_cut_tables(self, args_ptr: int) -> int:
+        """Run ``bg_local_cut_tables`` on a filled args block (nonzero: overflow)."""
+        return self._fn_local_cuts(args_ptr)
 
     def resub_similarity(self, packed, target, mask) -> np.ndarray:
         n, words = packed.shape

@@ -96,7 +96,9 @@ def evaluate_rewrite_cut(
 
     This is the shared core of the sequential per-node finder (which computes
     the table with a scalar cone walk) and the batched sweep scorer (which
-    extracts tables for all cuts of the network from one matrix simulation).
+    takes it from the backend: the exact cone walk per evaluated cut of the
+    global enumeration, or, for small target sets, the native backend's
+    compiled local-region op, which returns every local cut with its table).
     ``deref`` optionally supplies a precomputed MFFC.
     """
     fragment = library.lookup(table, len(leaves))

@@ -12,8 +12,11 @@ This module restructures the passes into two phases per *sweep*:
 1. **Score** — candidates for *all* nodes are computed against one frozen
    :class:`~repro.aig.kernels.LevelizedAig` snapshot.  Rewriting uses one
    vectorized full-network cut enumeration and computes cut truth tables
-   lazily with the exact cone walk, only for the cuts it evaluates;
-   refactoring and resubstitution run their per-node finders against the
+   lazily with the exact cone walk, only for the cuts it evaluates; a small
+   target set (a rescore sweep) is scored over each node's bounded
+   local-region cuts instead, which the native backend enumerates with
+   their truth tables in one compiled call.  Refactoring and
+   resubstitution run their per-node finders against the
    frozen network, where levels, fanout arrays and the topological order are
    computed exactly once.
 
@@ -59,7 +62,7 @@ from repro.synth.candidates import TransformCandidate
 from repro.synth.refactor import RefactorParams, find_refactor_candidate
 from repro.synth.resub import ResubParams, find_resub_candidate
 from repro.synth.rewrite import RewriteParams, evaluate_rewrite_cut, find_rewrite_candidate
-from repro.synth.rewrite_lib import DEFAULT_LIBRARY
+from repro.synth.rewrite_lib import DEFAULT_LIBRARY, RewriteLibrary
 
 
 @dataclass
@@ -138,7 +141,7 @@ def score_rewrites(
     most cut leaf combinations are structurally unreachable under random
     simulation anyway, so an upfront batched extraction wastes nearly all
     of its work on tables that are either incomplete or never consulted.
-    ``table`` memoizes the small-target finder calls only.
+    ``table`` memoizes the small-target scoring only.
     """
     del sweep_params
     params = params or RewriteParams()
@@ -146,14 +149,11 @@ def score_rewrites(
     topo = cached_topological_order(aig)
     targets = [n for n in topo if nodes is None or n in nodes]
     if nodes is not None and len(targets) * 2 < len(topo):
-        # Small re-score set (convergence sweeps): the bounded local-region
-        # finder beats re-running the global enumeration.
-        candidates = {}
-        for node in targets:
-            candidate = _find(table, node, "rw", find_rewrite_candidate, aig, node, params)
-            if candidate is not None:
-                candidates[node] = candidate
-        return candidates
+        # Small target set (rescore sweeps, split decision vectors): each
+        # node is scored over the cuts of its bounded local region, the cuts
+        # the sequential finder considers, not the global enumeration's —
+        # which also beats re-running the global enumeration for a few nodes.
+        return _score_local_rewrites(aig, targets, params, library, table)
     backend = get_backend()
     view = levelized(aig)
     view.ensure_node_arrays(aig)
@@ -186,6 +186,61 @@ def score_rewrites(
             )
             if candidate is not None and (best is None or candidate.gain > best.gain):
                 best = candidate
+        if best is not None:
+            candidates[node] = best
+    return candidates
+
+
+def _score_local_rewrites(
+    aig: Aig,
+    targets: List[int],
+    params: RewriteParams,
+    library: RewriteLibrary,
+    table: Optional[CandidateTable],
+) -> Dict[int, TransformCandidate]:
+    """The small-target branch of :func:`score_rewrites`.
+
+    Equal, candidate for candidate, to :func:`find_rewrite_candidate` per
+    target.  A backend with the ``local_cut_tables`` capability returns the
+    local cuts and truth tables of every target ``table`` lacks in one call;
+    they are scored in the finder's order, where only a strictly greater
+    gain replaces the best, and recorded into ``table``.  Without it (or
+    when it declines), :func:`_find` runs the finder per target.
+    """
+    misses = [node for node in targets if table is None or (node, "rw") not in table]
+    cuts_of: Dict[int, list] = {}
+    local_cut_tables = getattr(get_backend(), "local_cut_tables", None)
+    if misses and local_cut_tables is not None:
+        view = levelized(aig)
+        view.ensure_node_arrays(aig)
+        found = local_cut_tables(
+            view, misses, params.cut_size, params.cuts_per_node, params.max_region, params.max_depth
+        )
+        if found is not None:
+            cuts_of = dict(zip(misses, found))
+    candidates: Dict[int, TransformCandidate] = {}
+    for node in targets:
+        cuts = cuts_of.get(node)
+        if cuts is None:
+            best = _find(table, node, "rw", find_rewrite_candidate, aig, node, params)
+        else:
+            best = None
+            for leaves, truth in cuts:
+                if len(leaves) < 2:
+                    continue
+                candidate = evaluate_rewrite_cut(
+                    aig,
+                    node,
+                    list(leaves),
+                    truth,
+                    library,
+                    params,
+                    deref=view.mffc_nodes(node, leaves),
+                )
+                if candidate is not None and (best is None or candidate.gain > best.gain):
+                    best = candidate
+            if table is not None:
+                table[(node, "rw")] = best
         if best is not None:
             candidates[node] = best
     return candidates

@@ -18,14 +18,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.aig.aig import Aig, AigError
-from repro.aig.cuts import (
-    CutEnumerator,
-    local_cuts,
-    local_cuts_reference,
-)
+from repro.aig.cuts import Cut, CutEnumerator, CutSet, _local_region_order, local_cuts
 from repro.aig.equivalence import check_equivalence
-from repro.aig.kernels import LevelizedAig, cached_topological_order, levelized
-from repro.aig.literals import lit, lit_not
+from repro.aig.kernels import cached_topological_order, levelized
+from repro.aig.literals import lit, lit_not, lit_var
 from repro.aig.random_aig import RandomAigSpec, random_aig
 from repro.aig.simulate import (
     exhaustive_patterns,
@@ -296,6 +292,44 @@ def test_enumerate_subset_matches_reference(medium_random_aig):
     reference = enumerator.enumerate_reference(medium_random_aig, nodes=wanted)
     bitset = enumerator.enumerate(medium_random_aig, nodes=wanted)
     assert reference == bitset
+
+
+def local_cuts_reference(
+    aig: Aig,
+    node: int,
+    k: int = 4,
+    cuts_per_node: int = 8,
+    max_region: int = 40,
+    max_depth: int = 6,
+):
+    """Object-per-merge oracle of :func:`local_cuts` (same cuts, same order)."""
+    if not aig.is_and(node):
+        return [Cut(node, (node,))]
+    cut_sets = {}
+
+    def boundary_cutset(boundary: int) -> CutSet:
+        cut_set = cut_sets.get(boundary)
+        if cut_set is None:
+            cut_set = CutSet(boundary, [Cut(boundary, (boundary,))])
+            cut_sets[boundary] = cut_set
+        return cut_set
+
+    for current in _local_region_order(aig, node, max_region, max_depth):
+        f0 = lit_var(aig.fanin0(current))
+        f1 = lit_var(aig.fanin1(current))
+        set0 = cut_sets.get(f0) or boundary_cutset(f0)
+        set1 = cut_sets.get(f1) or boundary_cutset(f1)
+        merged = CutSet(current)
+        for cut0 in set0.cuts:
+            for cut1 in set1.cuts:
+                leaves = tuple(sorted(set(cut0.leaves) | set(cut1.leaves)))
+                if len(leaves) > k:
+                    continue
+                merged.add(Cut(current, leaves), cuts_per_node)
+        merged.add(Cut(current, (current,)), cuts_per_node + 1)
+        cut_sets[current] = merged
+
+    return list(cut_sets[node].cuts) if node in cut_sets else [Cut(node, (node,))]
 
 
 @pytest.mark.parametrize("index", range(6))

@@ -159,6 +159,54 @@ def test_sweep_report_and_journal_identical(spec):
 
 
 # --------------------------------------------------------------------------- #
+# Sampled orchestration (the only caller of the small-target rewrite scoring)
+# --------------------------------------------------------------------------- #
+def _sample_signatures(aig, backend_name):
+    """Record signatures plus optimized AIGER of guided and random samples.
+
+    Each backend samples its own unpickled copy, so no candidate table or
+    analysis memo computed under one backend serves the other.
+    """
+    import pickle
+
+    from repro.engine.evaluator import record_signature
+    from repro.io.aiger import aiger_ascii
+    from repro.orchestration.sampling import (
+        PriorityGuidedSampler,
+        RandomSampler,
+        evaluate_samples,
+    )
+
+    source = pickle.loads(pickle.dumps(aig))
+    vectors = PriorityGuidedSampler(source, seed=0).generate(3) + RandomSampler(
+        source, seed=1
+    ).generate(2)
+    with use_backend(backend_name):
+        records = evaluate_samples(source, vectors)
+    return [
+        (record_signature(record), aiger_ascii(record.result.optimized))
+        for record in records
+    ]
+
+
+@parametrize_backend
+@pytest.mark.parametrize("design", ["b08", "b10"])
+def test_sampled_orchestration_identical_across_backends(backend_name, design):
+    from repro.circuits.benchmarks import load_benchmark
+
+    aig = load_benchmark(design)
+    assert _sample_signatures(aig, backend_name) == _sample_signatures(aig, "reference")
+
+
+@parametrize_backend
+@settings(max_examples=5, deadline=None)
+@given(spec=aig_specs)
+def test_sampled_orchestration_identical_on_random_aigs(backend_name, spec):
+    aig = random_aig(spec)
+    assert _sample_signatures(aig, backend_name) == _sample_signatures(aig, "reference")
+
+
+# --------------------------------------------------------------------------- #
 # Resubstitution matching ops (both size regimes)
 # --------------------------------------------------------------------------- #
 def _random_resub_case(count, num_vars, seed):

@@ -3,7 +3,9 @@
 The proxy :func:`repro.backend.get_backend` hands out while tracing wraps the
 portable op vocabulary *and* the capability ops a backend lists in
 ``op_support()`` — ``cut_level_merge`` is called by every native cut
-enumeration, so a traced rewriting pass must show it as a span and count it.
+enumeration, so a traced rewriting pass must show it as a span and count it,
+and ``local_cut_tables`` by every small-target rewrite scoring, which sampled
+orchestration makes.
 """
 
 import pytest
@@ -35,10 +37,28 @@ def test_traced_rw_spans_and_counts_cut_level_merge():
     assert _calls("cut_level_merge") - before >= len(merges)
 
 
+def test_traced_orchestration_spans_and_counts_local_cut_tables():
+    kernels, reason = native_kernels.load_engine()
+    if kernels is None:
+        pytest.skip(f"no compiled engine on this install ({reason})")
+    engine = Engine.load("b08")
+    before = _calls("local_cut_tables")
+    with use_backend("native"):
+        TRACER.enable()
+        with TRACER.span("test.root") as root:
+            engine.run("orch -n 4")
+    spans = TRACER.spans_for(root.trace_id)
+    scorings = [span for span in spans if span["name"] == "backend.local_cut_tables"]
+    assert scorings, sorted({span["name"] for span in spans})
+    assert scorings[0]["attrs"]["impl"] == f"{kernels.engine}:local-region-cuts"
+    assert _calls("local_cut_tables") - before == len(scorings)
+
+
 def test_proxy_has_no_capability_op_the_backend_lacks():
     with use_backend("reference"):
         TRACER.enable()
         proxy = get_backend()
     assert proxy is not create_backend("reference")  # the traced proxy
     assert getattr(proxy, "cut_level_merge", None) is None
+    assert getattr(proxy, "local_cut_tables", None) is None
     assert callable(proxy.cut_table_exact)
