@@ -83,6 +83,10 @@ class Aig:
         #: Incremented on every structural change; lets caches (cut sets,
         #: simulation signatures, …) detect that they are stale.
         self.modification_count = 0
+        # The LevelizedAig snapshot of the current version (see
+        # repro.aig.kernels.levelized): dropped with every version change so
+        # no stale snapshot outlives it, and never pickled.
+        self._view = None
         # Populated only while a replacement cascade is running (see replace()).
         self._forwarding: Dict[int, int] = {}
         # Optional mutation journal (see journal_begin/journal_end): while
@@ -131,6 +135,7 @@ class Aig:
         """Register ``driver`` (a literal) as a primary output; return the PO index."""
         self._check_literal(driver)
         self.modification_count += 1
+        self._view = None
         self._pos.append(driver)
         self._po_names.append(name)
         self._po_refs[lit_var(driver)] += 1
@@ -343,6 +348,7 @@ class Aig:
         """Re-point the ``index``-th primary output at a new driver literal."""
         self._check_literal(driver)
         self.modification_count += 1
+        self._view = None
         old = self._pos[index]
         self._po_refs[lit_var(old)] -= 1
         self._pos[index] = driver
@@ -389,8 +395,10 @@ class Aig:
     def _ensure_levels(self) -> None:
         if self._levels is not None:
             return
+        from repro.aig.kernels import cached_topological_order
+
         levels = [0] * len(self._type)
-        for node in self.topological_order():
+        for node in cached_topological_order(self):
             levels[node] = 1 + max(
                 levels[lit_var(self._fanin0[node])],
                 levels[lit_var(self._fanin1[node])],
@@ -493,6 +501,7 @@ class Aig:
                 f"replacing node {old_node} with literal {new_lit} would create a cycle"
             )
         self.modification_count += 1
+        self._view = None
         # ``_forwarding`` records, for every node currently being dismantled by
         # this replacement (the original node and any fanout that dissolved
         # during the cascade), the literal it is being replaced with.  Every
@@ -595,6 +604,7 @@ class Aig:
     def _delete_cone(self, node: int) -> None:
         """Free ``node`` and recursively free fanins that lose their last reference."""
         self.modification_count += 1
+        self._view = None
         journal = self._mutation_journal
         stack = [node]
         while stack:
@@ -692,6 +702,7 @@ class Aig:
         processes are bit-for-bit comparable across backends.
         """
         state = self.__dict__.copy()
+        state.pop("_view", None)
         state["_fanouts"] = [sorted(fanouts) for fanouts in self._fanouts]
         return state
 
@@ -699,6 +710,7 @@ class Aig:
         state = dict(state)
         state["_fanouts"] = [set(fanouts) for fanouts in state["_fanouts"]]
         self.__dict__.update(state)
+        self._view = None
 
     def to_networkx(self):
         """Export the AIG as a ``networkx.DiGraph`` (edges carry ``inverted`` flags)."""
@@ -767,6 +779,7 @@ class Aig:
     # ------------------------------------------------------------------ #
     def _new_node(self, node_type: NodeType, f0: int, f1: int) -> int:
         self.modification_count += 1
+        self._view = None
         self._type.append(node_type)
         self._fanin0.append(f0)
         self._fanin1.append(f1)

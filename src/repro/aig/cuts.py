@@ -13,10 +13,13 @@ infeasible merges are rejected with one OR + popcount and domination
 pre-filtered before the exact subset check.  Per node the enumeration keeps
 three parallel arrays (leaf tuples, signatures, leaf sets) instead of building
 a frozen :class:`Cut` object per merge attempt; :class:`Cut` objects are only
-materialized for the final result.  The historical object-per-merge
-implementation is retained as :meth:`CutEnumerator.enumerate_reference`; both
-paths produce identical cut lists in identical order, which the test-suite
-asserts (it also keeps an object-per-merge oracle for :func:`local_cuts`).
+materialized for the final result.  One scalar bottom-up loop over that core
+serves both :func:`local_cuts` and :meth:`CutEnumerator.enumerate` whenever
+the backend's compiled whole-level merge is unavailable.  The historical
+object-per-merge implementation is retained as
+:meth:`CutEnumerator.enumerate_reference`; every path produces identical cut
+lists in identical order, which the test-suite asserts (it also keeps an
+object-per-merge oracle for :func:`local_cuts`).
 
 :func:`local_cuts` has a compiled twin: the native backend's
 ``local_cut_tables`` op replays it step for step, for a batch of roots at
@@ -26,10 +29,9 @@ once, and returns each cut's truth table with it (see
 
 from __future__ import annotations
 
-import weakref
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -232,27 +234,38 @@ def _merge_cut_lists(set0: _CutLists, set1: _CutLists, k: int, limit: int) -> _C
     return out_leaves, out_sigs, out_sets
 
 
-#: Padding signature for unused cut slots in the level matrices: popcount 64
-#: fails the k-feasibility prefilter for every practical k, so padded slots
-#: never reach the Python merge loop.
-_PAD_SIG = np.uint64(0xFFFFFFFFFFFFFFFF)
+def _merge_bottom_up(
+    triples: Iterable[Tuple[int, int, int]], k: int, limit: int
+) -> Dict[int, _CutLists]:
+    """Cut storage of every ``(node, fanin0 var, fanin1 var)`` triple.
 
-
-def _append_trivial(node: int, lists: _CutLists) -> _CutLists:
-    """Append the trivial cut ``{node}`` (never dominated: the root cannot be
-    a leaf of its own non-trivial cuts in an acyclic network)."""
-    leaves, sigs, sets = lists
-    leaves.append((node,))
-    sigs.append(1 << (node & 63))
-    sets.append(frozenset((node,)))
-    return lists
-
-
-# Memoized full-network enumerations for node_cuts(), keyed per network by
-# (k, cuts_per_node) and validated against the structural version counter.
-_NODE_CUTS_CACHE: "weakref.WeakKeyDictionary[Aig, Dict[Tuple[int, int], Tuple[int, Dict[int, List[Cut]]]]]" = (
-    weakref.WeakKeyDictionary()
-)
+    ``triples`` lists each node after those of its fanins that it lists at
+    all; a fanin without an entry is a leaf (PI, constant or region
+    boundary) whose only cut is itself.  Nodes that share both fanin
+    *variables* (e.g. the two legs of an XOR) reuse one memoized merge — cut
+    structure is independent of edge complements.  Every node's cuts end
+    with its trivial cut, which is never dominated: the root cannot be a
+    leaf of its own non-trivial cuts in an acyclic network.
+    """
+    store: Dict[int, _CutLists] = {}
+    memo: Dict[Tuple[int, int], _CutLists] = {}
+    for node, f0, f1 in triples:
+        merged = memo.get((f0, f1))
+        if merged is None:
+            set0 = store.get(f0)
+            if set0 is None:
+                set0 = store[f0] = _leaf_entry(f0)
+            set1 = store.get(f1)
+            if set1 is None:
+                set1 = store[f1] = _leaf_entry(f1)
+            merged = memo[(f0, f1)] = _merge_cut_lists(set0, set1, k, limit)
+        leaves, sigs, sets = merged
+        store[node] = (
+            leaves + [(node,)],
+            sigs + [1 << (node & 63)],
+            sets + [frozenset((node,))],
+        )
+    return store
 
 
 class CutEnumerator:
@@ -272,8 +285,8 @@ class CutEnumerator:
         if k < 2:
             raise ValueError("cut size must be at least 2")
         if k > 63:
-            # The 64-bit folded signatures (and the always-infeasible padding
-            # of the level matrices, popcount 64) require k < 64.
+            # The popcount prefilter on 64-bit folded leaf signatures needs
+            # k < 64 to reject anything.
             raise ValueError("cut size must be below 64")
         self.k = k
         self.cuts_per_node = cuts_per_node
@@ -284,120 +297,27 @@ class CutEnumerator:
         The returned dictionary also contains entries for PIs and constants
         encountered as fanins (their only cut is the trivial one).
 
-        The bottom-up pass runs level by level on the cached
-        :class:`~repro.aig.kernels.LevelizedAig` arrays: the per-node cut
-        signatures are packed into preallocated ``(nodes_in_level, limit + 1)``
-        uint64 matrices (unused slots padded with an always-infeasible
-        signature), one vectorized outer-OR + popcount computes the
-        k-feasibility of every fanin cut pair of the whole level at once, and
-        only the surviving pairs reach the Python merge loop.  Nodes that
-        share both fanin *variables* (e.g. the two legs of an XOR) reuse one
-        memoized merge — cut structure is independent of edge complements.
-        The result is identical, cut for cut and key for key, to
-        :meth:`enumerate_reference`.
+        Two paths compute the cut lists.  When the backend offers the
+        ``cut_level_merge`` capability op, each level of the cached
+        :class:`~repro.aig.kernels.LevelizedAig` is merged by one compiled
+        call (:meth:`_enumerate_compiled`).  When it is missing or declines
+        (the reference backend, native without a compiler, 64 or more cuts
+        per node), the scalar bottom-up merge that :func:`local_cuts` runs
+        walks the snapshot's AND nodes level by level.  Both results are
+        identical, cut for cut and key for key, to
+        :meth:`enumerate_reference`, the object-per-merge oracle.
         """
-        backend = get_backend()
-        level_merge = getattr(backend, "cut_level_merge", None)
+        level_merge = getattr(get_backend(), "cut_level_merge", None)
         if level_merge is not None:
             result = self._enumerate_compiled(aig, nodes, level_merge)
             if result is not None:
                 return result
-        k = self.k
-        limit = self.cuts_per_node
-        width = limit + 1  # stored cuts per node: <= limit merged + trivial
         view = levelized(aig)
-        store: Dict[int, _CutLists] = {}
-        sig_arrays: Dict[int, np.ndarray] = {}
-        merge_memo: Dict[Tuple[int, int], _CutLists] = {}
-
-        def add_leaf(leaf: int) -> None:
-            entry = _leaf_entry(leaf)
-            store[leaf] = entry
-            sig_arrays[leaf] = np.array(entry[1], dtype=np.uint64)
-
-        for ids, f0_vars, _m0, f1_vars, _m1 in view._level_ops:
-            count = len(ids)
-            id_list = ids.tolist()
-            f0_list = f0_vars.tolist()
-            f1_list = f1_vars.tolist()
-            sig0 = np.full((count, width), _PAD_SIG, dtype=np.uint64)
-            sig1 = np.full((count, width), _PAD_SIG, dtype=np.uint64)
-            memo_hits: List[Optional[_CutLists]] = [None] * count
-            for row in range(count):
-                f0 = f0_list[row]
-                f1 = f1_list[row]
-                if f0 not in store:
-                    add_leaf(f0)
-                if f1 not in store:
-                    add_leaf(f1)
-                hit = merge_memo.get((f0, f1))
-                if hit is not None:
-                    # Leave the rows padded: no pair survives the prefilter,
-                    # and the memoized merge is copied below.
-                    memo_hits[row] = hit
-                    continue
-                arr0 = sig_arrays[f0]
-                arr1 = sig_arrays[f1]
-                sig0[row, : arr0.size] = arr0
-                sig1[row, : arr1.size] = arr1
-            row_idx, a_idx, b_idx = backend.cut_merge_filter(sig0, sig1, k)
-            # Survivors are in (row, a, b) C-order; slice them per row.
-            bounds = np.searchsorted(row_idx, np.arange(count + 1)).tolist()
-            a_idx = a_idx.tolist()
-            b_idx = b_idx.tolist()
-            for row in range(count):
-                node = id_list[row]
-                hit = memo_hits[row]
-                if hit is not None:
-                    out_leaves = list(hit[0])
-                    out_sigs = list(hit[1])
-                    out_sets = list(hit[2])
-                else:
-                    f0 = f0_list[row]
-                    f1 = f1_list[row]
-                    leaves0, sigs0, sets0 = store[f0]
-                    leaves1, sigs1, sets1 = store[f1]
-                    out_leaves, out_sigs, out_sets = [], [], []
-                    out_keys: List[Tuple[int, Tuple[int, ...]]] = []
-                    sorted_len = 0
-                    start = bounds[row]
-                    stop = bounds[row + 1]
-                    # This loop body mirrors _merge_cut_lists (minus the
-                    # scalar popcount prefilter, done vectorized above); any
-                    # change to the merge semantics must be applied to both,
-                    # or the asserted identity with the references breaks.
-                    for a, b in zip(a_idx[start:stop], b_idx[start:stop]):
-                        set_a = sets0[a]
-                        set_b = sets1[b]
-                        merged = set_a | set_b
-                        size = len(merged)
-                        if size > k:
-                            continue
-                        # merged ⊇ set_a and ⊇ set_b, so a size match means
-                        # equality: reuse the fanin's sorted leaf tuple.
-                        if size == len(set_a):
-                            leaves = leaves0[a]
-                        elif size == len(set_b):
-                            leaves = leaves1[b]
-                        else:
-                            leaves = None
-                        sorted_len = _insert_cut(
-                            out_leaves,
-                            out_sigs,
-                            out_sets,
-                            out_keys,
-                            merged,
-                            sigs0[a] | sigs1[b],
-                            limit,
-                            sorted_len,
-                            leaves,
-                        )
-                    merge_memo[(f0, f1)] = (out_leaves, out_sigs, out_sets)
-                    out_leaves = list(out_leaves)
-                    out_sigs = list(out_sigs)
-                    out_sets = list(out_sets)
-                store[node] = _append_trivial(node, (out_leaves, out_sigs, out_sets))
-                sig_arrays[node] = np.fromiter(out_sigs, np.uint64, len(out_sigs))
+        store = _merge_bottom_up(
+            zip(view.and_ids.tolist(), view.fanin0_var.tolist(), view.fanin1_var.tolist()),
+            self.k,
+            self.cuts_per_node,
+        )
 
         # Materialize Cut objects in the reference implementation's insertion
         # order (DFS sweep, fanin leaves on first encounter — cached on the
@@ -424,12 +344,12 @@ class CutEnumerator:
         """Array-store enumeration over a backend's whole-level merge kernel.
 
         The cut store holds padded ``(cuts, k)`` leaf matrices plus size and
-        signature vectors per node instead of tuple/frozenset lists, the
-        per-level Python merge loop collapses into one ``cut_level_merge``
-        call, and leaf tuples are materialized only for the cuts that
-        survive.  Returns ``None`` when the backend reports the kernel
-        unavailable (first call of a level), sending :meth:`enumerate` down
-        the ordinary path; otherwise the result is identical, cut for cut
+        signature vectors per node instead of tuple/frozenset lists, each
+        level's merges run in one ``cut_level_merge`` call, and leaf tuples
+        are materialized only for the cuts that survive.  Returns ``None``
+        when the backend reports the kernel unavailable (first call of a
+        level), sending :meth:`enumerate` down the scalar path; otherwise
+        the result is identical, cut for cut
         and key for key, to :meth:`enumerate_reference` — asserted by the
         test-suite across backends.
         """
@@ -598,27 +518,6 @@ class CutEnumerator:
             result[node] = list(cut_set.cuts)
         return result
 
-    def node_cuts(self, aig: Aig, node: int) -> List[Cut]:
-        """Return the cuts of a single node, memoizing the full enumeration.
-
-        The bottom-up pass over the whole network is computed once per
-        ``(network version, k, cuts_per_node)`` and cached (weakly, so the
-        cache dies with the network); repeated per-node queries — the access
-        pattern of transformability checks — hit the cache instead of
-        re-running the enumeration.  Callers must not mutate the returned
-        list.
-        """
-        per_aig = _NODE_CUTS_CACHE.get(aig)
-        if per_aig is None:
-            per_aig = {}
-            _NODE_CUTS_CACHE[aig] = per_aig
-        key = (self.k, self.cuts_per_node)
-        entry = per_aig.get(key)
-        if entry is None or entry[0] != aig.modification_count:
-            entry = (aig.modification_count, self.enumerate(aig))
-            per_aig[key] = entry
-        return entry[1].get(node, [Cut(node, (node,))])
-
 
 def _local_region_order(
     aig: Aig, node: int, max_region: int, max_depth: int
@@ -674,25 +573,19 @@ def local_cuts(
     completeness (cuts whose cones leave the region are missed) for a per-node
     cost that is independent of the network size, which is what lets the
     orchestrated optimizer check rewriting transformability at every node of a
-    large design.  Shares the bitset merge core with
+    large design.  Shares its bottom-up merge loop with the scalar path of
     :meth:`CutEnumerator.enumerate`.
     """
     if not aig.is_and(node):
         return [Cut(node, (node,))]
-    store: Dict[int, _CutLists] = {}
-    for current in _local_region_order(aig, node, max_region, max_depth):
-        f0 = lit_var(aig.fanin0(current))
-        f1 = lit_var(aig.fanin1(current))
-        set0 = store.get(f0)
-        if set0 is None:
-            set0 = store[f0] = _leaf_entry(f0)
-        set1 = store.get(f1)
-        if set1 is None:
-            set1 = store[f1] = _leaf_entry(f1)
-        store[current] = _append_trivial(
-            current, _merge_cut_lists(set0, set1, k, cuts_per_node)
-        )
+    store = _merge_bottom_up(
+        (
+            (current, lit_var(aig.fanin0(current)), lit_var(aig.fanin1(current)))
+            for current in _local_region_order(aig, node, max_region, max_depth)
+        ),
+        k,
+        cuts_per_node,
+    )
     if node not in store:
         return [Cut(node, (node,))]
     return [Cut(node, leaves) for leaves in store[node][0]]
-

@@ -15,13 +15,12 @@ struct-of-arrays* snapshot of a network:
   complement masks),
 * the plain DFS topological order (shared with the scalar code paths).
 
-Snapshots are cached per network in a :class:`weakref.WeakKeyDictionary` and
-validated against the network's structural version counter
-(:attr:`Aig.modification_count`), so repeated simulations / enumerations of an
-unchanged network reuse the arrays while any structural edit transparently
-invalidates them.  The cache lives outside the ``Aig`` instance, which keeps
-the canonical pickle representation (relied on by the parallel evaluator for
-byte-identical results) untouched.
+Each network holds the snapshot of its current version, validated against
+its structural version counter (:attr:`Aig.modification_count`), so repeated
+simulations / enumerations of an unchanged network reuse the arrays while any
+structural edit drops them.  The snapshot is left out of the network's
+pickle, which keeps the canonical pickle representation (relied on by the
+parallel evaluator for byte-identical results) untouched.
 """
 
 from __future__ import annotations
@@ -437,19 +436,14 @@ def expand_region(aig: "Aig", seeds, radius: int, fanout_only: bool = False) -> 
     return region
 
 
-_VIEW_CACHE: "weakref.WeakKeyDictionary[Aig, LevelizedAig]" = (
-    weakref.WeakKeyDictionary()
-)
-
-
 def levelized(aig: "Aig") -> LevelizedAig:
     """Return the cached :class:`LevelizedAig` snapshot of ``aig``.
 
     The snapshot is rebuilt whenever the structural version counter advances;
-    every mutation — including :meth:`Aig.add_po` — bumps it.
+    every mutation — including :meth:`Aig.add_po` — bumps it and drops the
+    network's reference to the old snapshot.
     """
-    view = _VIEW_CACHE.get(aig)
+    view = aig._view
     if view is None or view.version != aig.modification_count:
-        view = LevelizedAig(aig)
-        _VIEW_CACHE[aig] = view
+        view = aig._view = LevelizedAig(aig)
     return view

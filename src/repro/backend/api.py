@@ -18,8 +18,6 @@ Op vocabulary
 ===========================  =================================================
 ``simulate_level_step``      one CSR level of uint64 AND/complement
                              propagation (:meth:`LevelizedAig.simulate`)
-``cut_merge_filter``         folded-signature k-feasibility prefilter of one
-                             level's fanin cut pairs (cut enumeration)
 ``cut_table_exact``          exact cone-walk cut truth table (sweep rewrite
                              scoring)
 ``resub_zero_match``         0-resub divisor scan (table equality)
@@ -51,7 +49,6 @@ import numpy as np
 #: can see which ops an implementation accelerates and which fell back.
 OPS: Tuple[str, ...] = (
     "simulate_level_step",
-    "cut_merge_filter",
     "cut_table_exact",
     "resub_zero_match",
     "resub_rank_divisors",
@@ -87,7 +84,7 @@ class Backend:
         raise NotImplementedError
 
     # ------------------------------------------------------------------ #
-    # AIG simulation / cut enumeration
+    # AIG simulation
     # ------------------------------------------------------------------ #
     def simulate_level_step(
         self,
@@ -99,18 +96,6 @@ class Backend:
         f1m: np.ndarray,
     ) -> None:
         """Propagate one CSR level in place: ``values[ids] = (values[f0v] ^ f0m) & (values[f1v] ^ f1m)``."""
-        raise NotImplementedError
-
-    def cut_merge_filter(
-        self, sig0: np.ndarray, sig1: np.ndarray, k: int
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Feasible fanin cut pairs of one level.
-
-        ``sig0`` / ``sig1`` are ``(nodes_in_level, limit + 1)`` uint64 folded
-        leaf-signature matrices (unused slots padded with an always-infeasible
-        signature).  Returns the ``(row, a, b)`` index triples, in C order,
-        of every pair whose OR'd signature has popcount <= k.
-        """
         raise NotImplementedError
 
     # ------------------------------------------------------------------ #

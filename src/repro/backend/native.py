@@ -3,10 +3,10 @@
 The one fast backend, layered directly on :class:`ReferenceBackend`.  It
 overrides two groups of ops:
 
-* **Compiled integer loops** — the fused level-step simulation, the
-  cut-merge popcount prefilter, the exact cone-walk truth table, resub
-  similarity ranking and the 8-combo one-match scan, and the sweep-commit
-  conflict screen: the ops whose remaining cost is Python loop overhead.
+* **Compiled integer loops** — the fused level-step simulation, the exact
+  cone-walk truth table, resub similarity ranking and the 8-combo
+  one-match scan, and the sweep-commit conflict screen: the ops whose
+  remaining cost is Python loop overhead.
   Two capability ops go further, replacing whole Python loops: the
   whole-level priority-cut merge of the global enumeration and the
   local-region cuts (with their truth tables) of small rescore sets.
@@ -68,7 +68,6 @@ _ARITY_META: Dict[int, Tuple[np.ndarray, int]] = {}
 
 _OP_LABELS = {
     "simulate_level_step": "fused-level-loop",
-    "cut_merge_filter": "popcount-prefilter",
     "cut_table_exact": "cone-walk",
     "cut_level_merge": "whole-level-merge",
     "local_cut_tables": "local-region-cuts",
@@ -322,10 +321,10 @@ class NativeBackend(ReferenceBackend):
 
         Capability beyond the portable op vocabulary: the cut enumerator
         feature-detects this method and, when it returns arrays, skips its
-        per-pair Python merge loop entirely.  Inputs are the padded per-row
-        cut-list matrices described in the kernel; a ``None`` return (no
-        compiled engine, or shapes beyond the kernel's fixed caps) sends
-        the caller down the ordinary reference-identical path.
+        scalar merge loop entirely.  Inputs are the padded per-row cut-list
+        matrices described in the kernel; a ``None`` return (no compiled
+        engine, or shapes beyond the kernel's fixed caps) sends the caller
+        down that reference-identical scalar loop.
         """
         kernels = self._kernels()
         if kernels is None or k >= 64 or s0.shape[1] > 64:
@@ -339,20 +338,6 @@ class NativeBackend(ReferenceBackend):
             l0, s0, g0, n0, l1, s1, g1, n1, skip, k, limit, out_l, out_s, out_g, out_n
         )
         return out_l, out_s, out_g, out_n
-
-    def cut_merge_filter(self, sig0, sig1, k):
-        kernels = self._kernels()
-        if (
-            kernels is None
-            or sig0.dtype != np.uint64
-            or sig1.dtype != np.uint64
-            or sig0.ndim != 2
-            or sig0.shape != sig1.shape
-        ):
-            return super().cut_merge_filter(sig0, sig1, k)
-        return kernels.cut_merge_filter(
-            np.ascontiguousarray(sig0), np.ascontiguousarray(sig1), int(k)
-        )
 
     # ------------------------------------------------------------------ #
     # Sweep scoring

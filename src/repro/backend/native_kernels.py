@@ -76,32 +76,6 @@ void bg_simulate_level_step(
     }
 }
 
-/* Row-major (row, a, b) triples with popcount(sig0[row,a] | sig1[row,b])
- * <= k — the same C order np.nonzero(feasible) yields. */
-int64_t bg_cut_merge_filter(
-    const uint64_t* sig0, const uint64_t* sig1,
-    int64_t rows, int64_t width, int64_t k,
-    int64_t* out_row, int64_t* out_a, int64_t* out_b)
-{
-    int64_t count = 0;
-    for (int64_t row = 0; row < rows; row++) {
-        const uint64_t* s0 = sig0 + row * width;
-        const uint64_t* s1 = sig1 + row * width;
-        for (int64_t a = 0; a < width; a++) {
-            uint64_t sa = s0[a];
-            for (int64_t b = 0; b < width; b++) {
-                if (BG_POPCOUNT(sa | s1[b]) <= k) {
-                    out_row[count] = row;
-                    out_a[count] = a;
-                    out_b[count] = b;
-                    count++;
-                }
-            }
-        }
-    }
-    return count;
-}
-
 /* Exact cone walk: same monotone table fill as the Python reference, with
  * per-call freshness via an epoch-stamped scratch instead of a dict.
  * Returns nonzero when the pending stack would overflow (caller falls
@@ -739,8 +713,6 @@ class CcKernels:
         ptr = ctypes.c_void_p
         lib.bg_simulate_level_step.argtypes = [ptr, i64, ptr, ptr, ptr, ptr, ptr, i64]
         lib.bg_simulate_level_step.restype = None
-        lib.bg_cut_merge_filter.argtypes = [ptr, ptr, i64, i64, i64, ptr, ptr, ptr]
-        lib.bg_cut_merge_filter.restype = i64
         lib.bg_cut_table_exact.argtypes = [ptr]
         lib.bg_cut_table_exact.restype = ctypes.c_int
         lib.bg_cut_level_merge.argtypes = [
@@ -762,7 +734,6 @@ class CcKernels:
         # Prebound function objects: the hot wrappers skip two attribute
         # lookups per call, which matters at cone-walk call rates.
         self._fn_simulate = lib.bg_simulate_level_step
-        self._fn_merge = lib.bg_cut_merge_filter
         self._fn_cone = lib.bg_cut_table_exact
         self._fn_level_merge = lib.bg_cut_level_merge
         self._fn_local_cuts = lib.bg_local_cut_tables
@@ -783,24 +754,6 @@ class CcKernels:
             f1m.ctypes.data,
             ids.shape[0],
         )
-
-    def cut_merge_filter(self, sig0, sig1, k) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        rows, width = sig0.shape
-        capacity = rows * width * width
-        out_row = np.empty(capacity, np.int64)
-        out_a = np.empty(capacity, np.int64)
-        out_b = np.empty(capacity, np.int64)
-        count = self._fn_merge(
-            sig0.ctypes.data,
-            sig1.ctypes.data,
-            rows,
-            width,
-            int(k),
-            out_row.ctypes.data,
-            out_a.ctypes.data,
-            out_b.ctypes.data,
-        )
-        return out_row[:count], out_a[:count], out_b[:count]
 
     @staticmethod
     def _cone_args(fanin0, fanin1, leaves, tables, stamp, stack, out) -> np.ndarray:

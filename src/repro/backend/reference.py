@@ -27,23 +27,6 @@ except AttributeError:  # pragma: no cover - exercised only on Python 3.9
         return bin(value).count("1")
 
 
-# Vectorized popcount of a uint64 matrix (cut_merge_filter).  numpy >= 2.0
-# has a dedicated ufunc; older versions get the classic SWAR bit-twiddle.
-if hasattr(np, "bitwise_count"):
-    popcount_matrix = np.bitwise_count
-else:  # pragma: no cover - exercised only on numpy < 2.0
-    _SWAR1 = np.uint64(0x5555555555555555)
-    _SWAR2 = np.uint64(0x3333333333333333)
-    _SWAR4 = np.uint64(0x0F0F0F0F0F0F0F0F)
-    _SWARM = np.uint64(0x0101010101010101)
-
-    def popcount_matrix(words: np.ndarray) -> np.ndarray:
-        v = words - ((words >> np.uint64(1)) & _SWAR1)
-        v = (v & _SWAR2) + ((v >> np.uint64(2)) & _SWAR2)
-        v = (v + (v >> np.uint64(4))) & _SWAR4
-        return (v * _SWARM) >> np.uint64(56)
-
-
 class ReferenceBackend(Backend):
     """Canonical numpy implementations of the whole op vocabulary."""
 
@@ -53,7 +36,7 @@ class ReferenceBackend(Backend):
         return {op: "numpy" for op in OPS}
 
     # ------------------------------------------------------------------ #
-    # AIG simulation / cut enumeration
+    # AIG simulation
     # ------------------------------------------------------------------ #
     def simulate_level_step(self, values, ids, f0v, f0m, f1v, f1m) -> None:
         v0 = values[f0v]
@@ -62,10 +45,6 @@ class ReferenceBackend(Backend):
         v1 ^= f1m
         v0 &= v1
         values[ids] = v0
-
-    def cut_merge_filter(self, sig0, sig1, k):
-        feasible = popcount_matrix(sig0[:, :, None] | sig1[:, None, :]) <= k
-        return np.nonzero(feasible)
 
     # ------------------------------------------------------------------ #
     # Sweep scoring

@@ -140,6 +140,27 @@ def test_levelized_cache_sees_new_pos(tiny_aig):
     assert levelized(tiny_aig).num_pos == 2
 
 
+def test_levelized_snapshot_dropped_by_every_mutation(tiny_aig):
+    x, y, z = (lit(pi) for pi in tiny_aig.pis())
+    and_node = lit_var(tiny_aig.add_and(x, lit_not(z)))
+    mutations = [
+        lambda: tiny_aig.add_pi("w"),
+        lambda: tiny_aig.add_and(lit_not(x), y),
+        lambda: tiny_aig.add_po(lit_not(y), "g"),
+        lambda: tiny_aig.set_po_driver(1, z),
+        lambda: tiny_aig.replace(and_node, y),
+        tiny_aig.cleanup,  # frees the dangling AND added above
+    ]
+    for mutate in mutations:
+        levelized(tiny_aig)
+        mutate()
+        assert tiny_aig._view is None
+    # A cleanup that removes nothing changes no version and keeps the snapshot.
+    view = levelized(tiny_aig)
+    assert tiny_aig.cleanup() == 0
+    assert levelized(tiny_aig) is view
+
+
 def test_cached_topological_order_reuses_and_invalidates(tiny_aig):
     order = cached_topological_order(tiny_aig)
     assert order == tiny_aig.topological_order()
@@ -363,48 +384,6 @@ def test_property_enumerate_matches_reference(spec, k):
     assert list(reference.keys()) == list(bitset.keys())
     for node in reference:
         assert reference[node] == bitset[node]
-
-
-# --------------------------------------------------------------------------- #
-# node_cuts memoization
-# --------------------------------------------------------------------------- #
-def test_node_cuts_memoizes_per_version(medium_random_aig, monkeypatch):
-    enumerator = CutEnumerator(k=4, cuts_per_node=6)
-    calls = []
-    original = CutEnumerator.enumerate
-
-    def counting(self, aig, nodes=None):
-        calls.append(1)
-        return original(self, aig, nodes)
-
-    monkeypatch.setattr(CutEnumerator, "enumerate", counting)
-    nodes = list(medium_random_aig.nodes())
-    first = enumerator.node_cuts(medium_random_aig, nodes[0])
-    second = enumerator.node_cuts(medium_random_aig, nodes[1])
-    assert len(calls) == 1  # one shared enumeration for both queries
-    assert first and second
-    # A structural change invalidates the memo.
-    pis = medium_random_aig.pis()
-    medium_random_aig.add_and(lit(pis[0], True), lit(pis[1]))
-    enumerator.node_cuts(medium_random_aig, nodes[0])
-    assert len(calls) == 2
-    # A different (k, limit) key enumerates separately.
-    CutEnumerator(k=3, cuts_per_node=6).node_cuts(medium_random_aig, nodes[0])
-    assert len(calls) == 3
-
-
-def test_node_cuts_results_match_enumerate(medium_random_aig):
-    enumerator = CutEnumerator(k=4, cuts_per_node=8)
-    full = enumerator.enumerate(medium_random_aig)
-    for node in list(medium_random_aig.nodes())[:25]:
-        assert enumerator.node_cuts(medium_random_aig, node) == full[node]
-
-
-def test_node_cuts_trivial_for_unknown_node(tiny_aig):
-    enumerator = CutEnumerator(k=4)
-    pi = tiny_aig.pis()[0]
-    cuts = enumerator.node_cuts(tiny_aig, pi)
-    assert [cut.leaves for cut in cuts] == [(pi,)]
 
 
 # --------------------------------------------------------------------------- #

@@ -234,6 +234,35 @@ def test_enumerate_identical_under_native_engine(k):
     assert native_cuts == enumerator.enumerate_reference(aig)
 
 
+def test_enumerate_scalar_fallback_above_kernel_cap_under_live_engine(monkeypatch):
+    # 64 cuts per node need 65 slots per row, beyond the whole-level
+    # kernel's 64: it declines with the engine loaded, and the enumerator
+    # takes its scalar merge loop instead.
+    _engine_or_skip()
+    import repro.aig.cuts as cuts_module
+
+    scalar_limits = []
+    merge_bottom_up = cuts_module._merge_bottom_up
+
+    def spy(triples, k, limit):
+        scalar_limits.append(limit)
+        return merge_bottom_up(triples, k, limit)
+
+    monkeypatch.setattr(cuts_module, "_merge_bottom_up", spy)
+    aig = random_aig(SPEC)
+    enumerator = CutEnumerator(k=4, cuts_per_node=64)
+    with use_backend("native") as backend:
+        assert backend.engine_name() is not None
+        native_cuts = enumerator.enumerate(aig)
+    assert scalar_limits == [64]
+    reference = enumerator.enumerate_reference(aig)
+    assert list(native_cuts) == list(reference)
+    for node, cuts in reference.items():
+        assert native_cuts[node] == cuts, f"cut list of node {node} differs"
+    # The cap matters here: some node keeps more cuts than the default 8.
+    assert max(len(cuts) for cuts in reference.values()) > 9
+
+
 # --------------------------------------------------------------------------- #
 # Compile cache + prewarm
 # --------------------------------------------------------------------------- #
