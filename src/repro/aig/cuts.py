@@ -15,7 +15,7 @@ three parallel arrays (leaf tuples, signatures, leaf sets) instead of building
 a frozen :class:`Cut` object per merge attempt; :class:`Cut` objects are only
 materialized for the final result.  One scalar bottom-up loop over that core
 serves both :func:`local_cuts` and :meth:`CutEnumerator.enumerate` whenever
-the backend's compiled whole-level merge is unavailable.  The historical
+the backend's compiled whole-snapshot enumeration is unavailable.  The historical
 object-per-merge implementation is retained as
 :meth:`CutEnumerator.enumerate_reference`; every path produces identical cut
 lists in identical order, which the test-suite asserts (it also keeps an
@@ -23,8 +23,9 @@ object-per-merge oracle for :func:`local_cuts`).
 
 :func:`local_cuts` has a compiled twin: the native backend's
 ``local_cut_tables`` op replays it step for step, for a batch of roots at
-once, and returns each cut's truth table with it (see
-:func:`repro.synth.sweep.score_rewrites`).
+once, and returns each cut's truth table with it; so does
+:meth:`CutEnumerator.enumerate`, whose whole-snapshot twin is the
+``snapshot_cut_tables`` op (see :func:`repro.synth.sweep.score_rewrites`).
 """
 
 from __future__ import annotations
@@ -32,8 +33,6 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
-
-import numpy as np
 
 from repro.aig.aig import Aig
 from repro.aig.kernels import levelized
@@ -298,26 +297,38 @@ class CutEnumerator:
         encountered as fanins (their only cut is the trivial one).
 
         Two paths compute the cut lists.  When the backend offers the
-        ``cut_level_merge`` capability op, each level of the cached
-        :class:`~repro.aig.kernels.LevelizedAig` is merged by one compiled
-        call (:meth:`_enumerate_compiled`).  When it is missing or declines
-        (the reference backend, native without a compiler, 64 or more cuts
-        per node), the scalar bottom-up merge that :func:`local_cuts` runs
-        walks the snapshot's AND nodes level by level.  Both results are
-        identical, cut for cut and key for key, to
+        ``snapshot_cut_tables`` capability op, one compiled call enumerates
+        the whole cached :class:`~repro.aig.kernels.LevelizedAig` (with truth
+        tables this method drops).  When it is missing or declines (the
+        reference backend, native without a compiler, 64 or more cuts per
+        node), the scalar bottom-up merge that
+        :func:`local_cuts` runs walks the snapshot's AND nodes level by
+        level.  Both results are identical, cut for cut and key for key, to
         :meth:`enumerate_reference`, the object-per-merge oracle.
         """
-        level_merge = getattr(get_backend(), "cut_level_merge", None)
-        if level_merge is not None:
-            result = self._enumerate_compiled(aig, nodes, level_merge)
-            if result is not None:
-                return result
         view = levelized(aig)
-        store = _merge_bottom_up(
-            zip(view.and_ids.tolist(), view.fanin0_var.tolist(), view.fanin1_var.tolist()),
-            self.k,
-            self.cuts_per_node,
-        )
+        snapshot_cut_tables = getattr(get_backend(), "snapshot_cut_tables", None)
+        found = None
+        if snapshot_cut_tables is not None:
+            found = snapshot_cut_tables(view, self.k, self.cuts_per_node)
+        if found is not None:
+            leaves, sizes, _tables, counts = found
+            leaf_rows, size_rows, count_list = leaves.tolist(), sizes.tolist(), counts.tolist()
+
+            def cut_leaves(node: int) -> List[Tuple[int, ...]]:
+                row, size_row = leaf_rows[node], size_rows[node]
+                merged = [tuple(row[c][: size_row[c]]) for c in range(count_list[node])]
+                return merged + [(node,)]
+
+        else:
+            store = _merge_bottom_up(
+                zip(view.and_ids.tolist(), view.fanin0_var.tolist(), view.fanin1_var.tolist()),
+                self.k,
+                self.cuts_per_node,
+            )
+
+            def cut_leaves(node: int) -> List[Tuple[int, ...]]:
+                return store[node][0]
 
         # Materialize Cut objects in the reference implementation's insertion
         # order (DFS sweep, fanin leaves on first encounter — cached on the
@@ -330,150 +341,11 @@ class CutEnumerator:
             if wanted is not None and key not in wanted:
                 continue
             cuts = []
-            for leaves in store[key][0]:
+            for leaves in cut_leaves(key):
                 cut = new_cut(Cut)
                 set_attr(cut, "root", key)
                 set_attr(cut, "leaves", leaves)
                 cuts.append(cut)
-            result[key] = cuts
-        return result
-
-    def _enumerate_compiled(
-        self, aig: Aig, nodes: Optional[Sequence[int]], level_merge
-    ) -> Optional[Dict[int, List[Cut]]]:
-        """Array-store enumeration over a backend's whole-level merge kernel.
-
-        The cut store holds padded ``(cuts, k)`` leaf matrices plus size and
-        signature vectors per node instead of tuple/frozenset lists, each
-        level's merges run in one ``cut_level_merge`` call, and leaf tuples
-        are materialized only for the cuts that survive.  Returns ``None``
-        when the backend reports the kernel unavailable (first call of a
-        level), sending :meth:`enumerate` down the scalar path; otherwise
-        the result is identical, cut for cut
-        and key for key, to :meth:`enumerate_reference` — asserted by the
-        test-suite across backends.
-        """
-        k = self.k
-        limit = self.cuts_per_node
-        width = limit + 1  # stored cuts per node: <= limit merged + trivial
-        # Zero-row probe: resolves the engine (and kernel caps) before any
-        # gather work, so a degraded backend costs one cheap call per
-        # enumeration instead of a wasted first-level pack.
-        probe = level_merge(
-            np.zeros((0, width, k), np.int64),
-            np.zeros((0, width), np.int64),
-            np.zeros((0, width), np.uint64),
-            np.zeros(0, np.int64),
-            np.zeros((0, width, k), np.int64),
-            np.zeros((0, width), np.int64),
-            np.zeros((0, width), np.uint64),
-            np.zeros(0, np.int64),
-            np.zeros(0, np.uint8),
-            k,
-            limit,
-        )
-        if probe is None:
-            return None
-        view = levelized(aig)
-        #: node -> (leaves (n, k) int64, sizes (n,) int64, sigs (n,) uint64)
-        #: holding only the merged (non-trivial) cuts; the trivial cut is
-        #: synthesized where needed, keeping leaf/PI entries allocation-free.
-        empty = (
-            np.zeros((0, k), np.int64),
-            np.zeros(0, np.int64),
-            np.zeros(0, np.uint64),
-        )
-        store: Dict[int, Tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-        merge_memo: Dict[Tuple[int, int], Tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-        for ids, f0_vars, _m0, f1_vars, _m1 in view._level_ops:
-            count = len(ids)
-            id_list = ids.tolist()
-            f0_list = f0_vars.tolist()
-            f1_list = f1_vars.tolist()
-            in_l0 = np.zeros((count, width, k), np.int64)
-            in_s0 = np.zeros((count, width), np.int64)
-            in_g0 = np.zeros((count, width), np.uint64)
-            in_n0 = np.zeros(count, np.int64)
-            in_l1 = np.zeros((count, width, k), np.int64)
-            in_s1 = np.zeros((count, width), np.int64)
-            in_g1 = np.zeros((count, width), np.uint64)
-            in_n1 = np.zeros(count, np.int64)
-            skip = np.zeros(count, np.uint8)
-            memo_hits: List[Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]] = (
-                [None] * count
-            )
-            for row in range(count):
-                f0 = f0_list[row]
-                f1 = f1_list[row]
-                hit = merge_memo.get((f0, f1))
-                if hit is not None:
-                    skip[row] = 1
-                    memo_hits[row] = hit
-                    if f0 not in store:
-                        store[f0] = empty
-                    if f1 not in store:
-                        store[f1] = empty
-                    continue
-                for fanin, in_l, in_s, in_g, in_n in (
-                    (f0, in_l0, in_s0, in_g0, in_n0),
-                    (f1, in_l1, in_s1, in_g1, in_n1),
-                ):
-                    entry = store.get(fanin)
-                    if entry is None:
-                        # First encounter: a leaf (PI/constant/boundary).
-                        entry = empty
-                        store[fanin] = entry
-                    stored = entry[1].shape[0]
-                    if stored:
-                        in_l[row, :stored] = entry[0]
-                        in_s[row, :stored] = entry[1]
-                        in_g[row, :stored] = entry[2]
-                    # The trivial cut rides last, as in the list store.
-                    in_l[row, stored, 0] = fanin
-                    in_s[row, stored] = 1
-                    in_g[row, stored] = 1 << (fanin & 63)
-                    in_n[row] = stored + 1
-            merged = level_merge(
-                in_l0, in_s0, in_g0, in_n0,
-                in_l1, in_s1, in_g1, in_n1,
-                skip, k, limit,
-            )
-            if merged is None:
-                return None
-            out_l, out_s, out_g, out_n = merged
-            count_list = out_n.tolist()
-            for row in range(count):
-                hit = memo_hits[row]
-                if hit is None:
-                    n = count_list[row]
-                    hit = (
-                        out_l[row, :n].copy(),
-                        out_s[row, :n].copy(),
-                        out_g[row, :n].copy(),
-                    )
-                    merge_memo[(f0_list[row], f1_list[row])] = hit
-                store[id_list[row]] = hit
-
-        # Materialize Cut objects in the reference implementation's insertion
-        # order; the trivial cut is appended last, exactly like the list store.
-        wanted = set(nodes) if nodes is not None else None
-        new_cut = Cut.__new__
-        set_attr = object.__setattr__
-        result: Dict[int, List[Cut]] = {}
-        for key in view.first_encounter_order(aig):
-            if wanted is not None and key not in wanted:
-                continue
-            leaf_mat, sizes, _sigs = store[key]
-            cuts = []
-            for index, size in enumerate(sizes.tolist()):
-                cut = new_cut(Cut)
-                set_attr(cut, "root", key)
-                set_attr(cut, "leaves", tuple(leaf_mat[index, :size].tolist()))
-                cuts.append(cut)
-            trivial = new_cut(Cut)
-            set_attr(trivial, "root", key)
-            set_attr(trivial, "leaves", (key,))
-            cuts.append(trivial)
             result[key] = cuts
         return result
 

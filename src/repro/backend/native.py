@@ -7,8 +7,9 @@ overrides two groups of ops:
   cone-walk truth table, resub similarity ranking and the 8-combo
   one-match scan, and the sweep-commit conflict screen: the ops whose
   remaining cost is Python loop overhead.
-  Two capability ops go further, replacing whole Python loops: the
-  whole-level priority-cut merge of the global enumeration and the
+  Three capability ops go further, replacing whole Python loops: the
+  whole-snapshot priority cuts with their truth tables and the
+  MFFC-ordered fragment dry-run scan of global rewrite scoring, and the
   local-region cuts (with their truth tables) of small rescore sets.
   They run in :mod:`repro.backend.native_kernels`, a small C source built
   once with the system compiler into a shared library loaded via ctypes.
@@ -34,6 +35,7 @@ byte identity holds by construction and is enforced by ``tests/backend``.
 from __future__ import annotations
 
 import threading
+from itertools import chain
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -69,7 +71,8 @@ _ARITY_META: Dict[int, Tuple[np.ndarray, int]] = {}
 _OP_LABELS = {
     "simulate_level_step": "fused-level-loop",
     "cut_table_exact": "cone-walk",
-    "cut_level_merge": "whole-level-merge",
+    "snapshot_cut_tables": "whole-snapshot-cuts",
+    "rewrite_scan": "mffc-ordered-dry-run",
     "local_cut_tables": "local-region-cuts",
     "resub_rank_divisors": "popcount-similarity",
     "resub_one_match": "8-combo-scan",
@@ -86,6 +89,43 @@ def _arity_meta(num_vars: int) -> Tuple[np.ndarray, int]:
         cached = (np.array(variables, dtype=np.uint64), table_mask(num_vars))
         _ARITY_META[num_vars] = cached
     return cached
+
+
+def _check_scan_inputs(slots, roots, leaves, sizes, counts, fragment_of, num_fragments) -> None:
+    """Raise ``ValueError`` unless the rewrite scan's inputs index safely.
+
+    The kernel trusts every index it reads: roots and the leaves of scanned
+    cuts must be node ids, each row's count must leave room for its trivial
+    cut, cut sizes must fit the leaf rows, and every scanned cut (at least
+    two leaves, below its row's count) must name a fragment.
+    """
+    rows, width = sizes.shape
+    roots = np.asarray(roots, dtype=np.int64)
+    if (
+        leaves.ndim != 3
+        or leaves.shape[:2] != (rows, width)
+        or fragment_of.shape != (rows, width)
+        or counts.shape != (rows,)
+        or roots.shape != (rows,)
+    ):
+        raise ValueError("rewrite_scan: cut arrays disagree in shape")
+    if rows == 0:
+        return
+    scanned = (np.arange(width) < counts[:, None]) & (sizes >= 2)
+    picked = leaves[scanned]
+    within = np.arange(leaves.shape[2]) < sizes[scanned][:, None]
+    if (
+        roots.min() < 0
+        or roots.max() >= slots
+        or counts.min() < 0
+        or counts.max() >= width
+        or (sizes[scanned] > leaves.shape[2]).any()
+        or (picked[within] < 0).any()
+        or (picked[within] >= slots).any()
+        or (fragment_of[scanned] < 0).any()
+        or (fragment_of[scanned] >= num_fragments).any()
+    ):
+        raise ValueError("rewrite_scan: an index is out of range")
 
 
 class _Workspaces:
@@ -316,29 +356,6 @@ class NativeBackend(ReferenceBackend):
             values, ids, f0v, f0m.reshape(-1), f1v, f1m.reshape(-1)
         )
 
-    def cut_level_merge(self, l0, s0, g0, n0, l1, s1, g1, n1, skip, k, limit):
-        """Whole-level priority-cut merge, or ``None`` when unavailable.
-
-        Capability beyond the portable op vocabulary: the cut enumerator
-        feature-detects this method and, when it returns arrays, skips its
-        scalar merge loop entirely.  Inputs are the padded per-row cut-list
-        matrices described in the kernel; a ``None`` return (no compiled
-        engine, or shapes beyond the kernel's fixed caps) sends the caller
-        down that reference-identical scalar loop.
-        """
-        kernels = self._kernels()
-        if kernels is None or k >= 64 or s0.shape[1] > 64:
-            return None
-        count, width = s0.shape
-        out_l = np.zeros((count, width, k), np.int64)
-        out_s = np.zeros((count, width), np.int64)
-        out_g = np.zeros((count, width), np.uint64)
-        out_n = np.zeros(count, np.int64)
-        kernels.cut_level_merge(
-            l0, s0, g0, n0, l1, s1, g1, n1, skip, k, limit, out_l, out_s, out_g, out_n
-        )
-        return out_l, out_s, out_g, out_n
-
     # ------------------------------------------------------------------ #
     # Sweep scoring
     # ------------------------------------------------------------------ #
@@ -398,6 +415,140 @@ class NativeBackend(ReferenceBackend):
         if scratch is None:
             return None
         return scratch.local_cuts(kernels, roots, k, cuts_per_node, max_region, max_depth)
+
+    def snapshot_cut_tables(self, view, k, cuts_per_node):
+        """Every AND node's priority cuts with their truth tables, or ``None``.
+
+        Capability beyond the portable op vocabulary, feature-detected by
+        :meth:`repro.aig.cuts.CutEnumerator.enumerate` and by the global
+        branch of :func:`repro.synth.sweep.score_rewrites`: the cuts of the
+        whole snapshot ``view`` from one compiled call, identical to the
+        enumerator's scalar merge.  Returns ``(leaves, sizes, tables,
+        counts)`` indexed by node id: row ``n`` holds the ``counts[n]``
+        non-trivial cuts of node ``n`` (``leaves[n, c, :sizes[n, c]]``, with
+        ``tables[n, c]`` the :func:`repro.aig.truth.cut_truth_table` of ``n``
+        over them), then its trivial cut; a slot that is not an AND node has
+        count 0.  ``tables`` is ``None`` for ``k`` above 6 (tables wider than
+        64 bits).  ``None`` — no compiled engine, ``k`` outside 2..63 or
+        ``cuts_per_node`` outside 1..63 — sends the caller to the scalar
+        merge.
+        """
+        kernels = self._kernels()
+        if kernels is None or not 2 <= k < 64 or not 1 <= cuts_per_node < 64:
+            return None
+        slots = view.num_slots
+        and_ids = np.ascontiguousarray(view.and_ids, dtype=np.int64)
+        fanins = np.zeros((2, slots), np.int64)
+        for side, (var, mask) in enumerate(
+            ((view.fanin0_var, view.fanin0_mask), (view.fanin1_var, view.fanin1_mask))
+        ):
+            fanins[side, and_ids] = (var << 1) | (mask & np.uint64(1)).astype(np.int64)
+        width = cuts_per_node + 1
+        leaves = np.zeros((slots, width, k), np.int64)
+        sizes = np.zeros((slots, width), np.int64)
+        sigs = np.zeros((slots, width), np.uint64)
+        counts = np.zeros(slots, np.int64)
+        tables = np.zeros((slots, width), np.uint64) if k <= 6 else None
+        # The args block's layout is documented in the kernel source.
+        args = np.array(
+            [fanins[0].ctypes.data, fanins[1].ctypes.data, slots,
+             and_ids.ctypes.data, and_ids.shape[0], k, cuts_per_node]
+            + [array.ctypes.data for array in (leaves, sizes, sigs, counts)]
+            + [0 if tables is None else tables.ctypes.data],
+            dtype=np.int64,
+        )
+        if kernels.snapshot_cut_tables(args.ctypes.data):  # pragma: no cover - out of memory
+            return None
+        return leaves, sizes, tables, counts
+
+    def rewrite_scan(self, view, strash, roots, leaves, sizes, counts, fragment_of, fragments,
+                     min_gain):
+        """Each root's best rewriting cut from the MFFC-ordered scan, or ``None``.
+
+        Capability beyond the portable op vocabulary, feature-detected by the
+        global branch of :func:`repro.synth.sweep.score_rewrites`, whose
+        per-node loop it replays for every root of ``roots`` in one compiled
+        call, against the frozen snapshot ``view`` (node arrays ensured) and
+        its network's structural hash ``strash`` (``Aig._strash``).  Row
+        ``i`` of ``leaves``/``sizes``/``counts`` holds the cuts of
+        ``roots[i]`` in :meth:`snapshot_cut_tables` layout, and
+        ``fragment_of[i, c]`` indexes the replacement of cut ``c`` in
+        ``fragments`` (:class:`~repro.synth.fragment.Fragment` objects;
+        ``None`` for one not synthesized yet).  Returns ``(best, pending)``:
+        per root ``None`` or ``(cut, gain, mffc nodes, reused nodes)``, and
+        the ``(row, cut)`` pairs whose scan stopped at a ``None`` fragment.
+        ``None`` — no compiled engine, 64 or more cuts per node, or no node
+        arrays — sends the caller to the Python loop.
+        """
+        kernels = self._kernels()
+        width = sizes.shape[1]
+        if kernels is None or width > 64 or not getattr(view, "_ref_counts", None):
+            return None
+        _check_scan_inputs(
+            len(view._ref_counts), roots, leaves, sizes, counts, fragment_of, len(fragments)
+        )
+        size = len(strash)
+        keys = np.fromiter(chain.from_iterable(strash), np.int64, 2 * size)
+        hashed = np.fromiter(strash.values(), np.int64, size)
+        pairs: List[int] = []
+        offsets = [0]
+        outputs = []
+        for fragment in fragments:
+            if fragment is None:
+                outputs.append(-1)
+            else:
+                pairs.extend(chain.from_iterable(fragment.nodes))
+                outputs.append(fragment.output)
+            offsets.append(len(pairs) // 2)
+        node_arrays = (
+            np.array(view._fanin0_list, np.int64),
+            np.array(view._fanin1_list, np.int64),
+            np.array(view._is_and_list, np.uint8),
+            np.array(view._ref_counts, np.int64),
+        )
+        cut_arrays = (
+            np.array(roots, np.int64),
+            np.ascontiguousarray(leaves, np.int64),
+            np.ascontiguousarray(sizes, np.int64),
+            np.ascontiguousarray(counts, np.int64),
+            np.ascontiguousarray(fragment_of, np.int64),
+        )
+        fragment_arrays = (
+            np.array(offsets, np.int64),
+            np.array(pairs, np.int64),
+            np.array(outputs, np.int64),
+        )
+        count = cut_arrays[0].shape[0]
+        out = np.empty((6, count), np.int64)
+        head = (
+            [array.ctypes.data for array in node_arrays] + [len(view._ref_counts)]
+            + [keys.ctypes.data, hashed.ctypes.data, size]
+            + [cut_arrays[0].ctypes.data, count, leaves.shape[2], width]
+            + [array.ctypes.data for array in cut_arrays[1:]]
+            + [array.ctypes.data for array in fragment_arrays] + [len(outputs), min_gain]
+            + [row.ctypes.data for row in out]
+        )
+        capacity = 16 * count + 64
+        while True:
+            buffer = np.empty(capacity, np.int64)
+            # The args block's layout is documented in the kernel source.
+            args = np.array(head + [buffer.ctypes.data, capacity], dtype=np.int64)
+            needed = kernels.rewrite_scan(args.ctypes.data)
+            if needed < 0:  # pragma: no cover - out of memory
+                return None
+            if needed <= capacity:
+                break
+            capacity = needed
+        cut, gain, pending, offset, mffc, reused = out.tolist()
+        nodes = buffer[:needed].tolist()
+        best: List[Optional[Tuple[int, int, List[int], List[int]]]] = [None] * count
+        for row in range(count):
+            if cut[row] >= 0:
+                start = offset[row]
+                middle = start + mffc[row]
+                best[row] = (cut[row], gain[row], nodes[start:middle],
+                             nodes[middle:middle + reused[row]])
+        return best, [(row, at) for row, at in enumerate(pending) if at >= 0]
 
     # ------------------------------------------------------------------ #
     # Resubstitution matching

@@ -46,6 +46,8 @@ ENV_CACHE = "BOOLGEBRA_NATIVE_CACHE"
 
 _C_SOURCE = r"""
 #include <stdint.h>
+#include <stdlib.h>
+#include <string.h>
 
 #if defined(__GNUC__) || defined(__clang__)
 #define BG_POPCOUNT(x) __builtin_popcountll(x)
@@ -143,7 +145,7 @@ int bg_cut_table_exact(const int64_t* args)
     return 0;
 }
 
-/* ---- Whole-level priority-cut merge --------------------------------- */
+/* ---- Priority-cut merge ---------------------------------------------- */
 
 #define BG_CUT_CAP 64
 
@@ -306,28 +308,6 @@ static int64_t bg_merge_row(
     return length;
 }
 
-/* The row merge over every node of one level.  Cut lists arrive as padded
- * per-row matrices (row stride width >= limit + 1 cuts) with counts[row];
- * rows flagged in skip[] (memoized merges) are left empty for the caller
- * to fill.  Output rows use the same layout. */
-void bg_cut_level_merge(
-    const int64_t* l0, const int64_t* s0, const uint64_t* g0, const int64_t* n0,
-    const int64_t* l1, const int64_t* s1, const uint64_t* g1, const int64_t* n1,
-    const uint8_t* skip,
-    int64_t count, int64_t width, int64_t k, int64_t limit,
-    int64_t* out_l, int64_t* out_s, uint64_t* out_g, int64_t* out_n)
-{
-    for (int64_t row = 0; row < count; row++) {
-        out_n[row] = 0;
-        if (skip[row]) continue;
-        out_n[row] = bg_merge_row(
-            l0 + row * width * k, s0 + row * width, g0 + row * width, n0[row],
-            l1 + row * width * k, s1 + row * width, g1 + row * width, n1[row],
-            k, limit,
-            out_l + row * width * k, out_s + row * width, out_g + row * width);
-    }
-}
-
 /* ---- Local-region cuts with their truth tables ----------------------- */
 
 /* Patterns of truth-table variables 0..5 over 64 minterms. */
@@ -335,6 +315,51 @@ static const uint64_t BG_VAR_TABLES[6] = {
     0xAAAAAAAAAAAAAAAAull, 0xCCCCCCCCCCCCCCCCull, 0xF0F0F0F0F0F0F0F0ull,
     0xFF00FF00FF00FF00ull, 0xFFFF0000FFFF0000ull, 0xFFFFFFFF00000000ull,
 };
+
+/* The truth table of root over the n leaves of one of its cuts, written to
+ * *out: an epoch-stamped cone walk with leaf i as variable i and the
+ * constant node set after the leaves, in the order of
+ * ReferenceBackend.cut_table_exact.  Returns nonzero when the pending
+ * stack would overflow. */
+static int bg_cut_table(
+    const int64_t* fanin0, const int64_t* fanin1, uint64_t* tables,
+    uint32_t* stamp, uint32_t t, int64_t* stack, int64_t stack_cap,
+    int64_t root, const int64_t* leaves, int64_t n, uint64_t* out)
+{
+    uint64_t mask = n >= 6 ? ~0ull : (1ull << (1 << n)) - 1;
+    for (int64_t w = 0; w < n; w++) {
+        tables[leaves[w]] = BG_VAR_TABLES[w] & mask;
+        stamp[leaves[w]] = t;
+    }
+    tables[0] = 0;
+    stamp[0] = t;
+    int64_t top = 0;
+    if (stamp[root] != t) stack[top++] = root;
+    while (top > 0) {
+        int64_t node = stack[top - 1];
+        int64_t f0 = fanin0[node];
+        int64_t f1 = fanin1[node];
+        int64_t v0 = f0 >> 1;
+        int64_t v1 = f1 >> 1;
+        int k0 = stamp[v0] == t;
+        int k1 = stamp[v1] == t;
+        if (k0 && k1) {
+            uint64_t t0 = tables[v0];
+            uint64_t t1 = tables[v1];
+            if (f0 & 1) t0 ^= mask;
+            if (f1 & 1) t1 ^= mask;
+            tables[node] = t0 & t1;
+            stamp[node] = t;
+            top--;
+        } else {
+            if (top + 2 > stack_cap) return 1;
+            if (!k0) stack[top++] = v0;
+            if (!k1) stack[top++] = v1;
+        }
+    }
+    *out = tables[root];
+    return 0;
+}
 
 /* The next scratch epoch; on wrap-around every stamp array is cleared. */
 static uint32_t bg_next_epoch(
@@ -349,6 +374,16 @@ static uint32_t bg_next_epoch(
     return (uint32_t)*epoch;
 }
 
+/* The next epoch of per-call stamp arrays (n entries, zeroed on wrap). */
+static uint32_t bg_bump(uint32_t* epoch, uint32_t* stamps, int64_t n)
+{
+    if (*epoch == 0xFFFFFFFFu) {
+        memset(stamps, 0, n * sizeof(uint32_t));
+        *epoch = 0;
+    }
+    return ++*epoch;
+}
+
 /* For a batch of roots, repro.aig.cuts.local_cuts replayed step for step,
  * plus repro.aig.truth.cut_truth_table of every non-trivial cut:
  *
@@ -358,8 +393,7 @@ static uint32_t bg_next_epoch(
  * 3. the bottom-up merge through bg_merge_row, where a boundary fanin
  *    carries only its trivial cut and a region node appends its trivial
  *    cut after the merged ones;
- * 4. per non-trivial cut of the root, an epoch-stamped cone walk with leaf
- *    i as variable i and the constant node set after the leaves.
+ * 4. per non-trivial cut of the root, bg_cut_table.
  *
  * All operands arrive through one int64 args block (pointers as int64):
  *   [0]=fanin0 [1]=fanin1 (int64 literals per slot) [2]=is_and (uint8)
@@ -500,44 +534,382 @@ int bg_local_cut_tables(int64_t* args)
             int64_t* dst = out_l + (r * limit + c) * k;
             for (int64_t w = 0; w < n; w++) dst[w] = leaves[w];
             out_s[r * limit + c] = n;
-            uint64_t mask = n >= 6 ? ~0ull : (1ull << (1 << n)) - 1;
             uint32_t t = bg_next_epoch(&epoch, stamp, region, visit, slots);
-            for (int64_t w = 0; w < n; w++) {
-                tables[leaves[w]] = BG_VAR_TABLES[w] & mask;
-                stamp[leaves[w]] = t;
-            }
-            tables[0] = 0;
-            stamp[0] = t;
-            int64_t top = 0;
-            if (stamp[root] != t) stack[top++] = root;
-            while (top > 0) {
-                int64_t node = stack[top - 1];
-                int64_t f0 = fanin0[node];
-                int64_t f1 = fanin1[node];
-                int64_t v0 = f0 >> 1;
-                int64_t v1 = f1 >> 1;
-                int k0 = stamp[v0] == t;
-                int k1 = stamp[v1] == t;
-                if (k0 && k1) {
-                    uint64_t t0 = tables[v0];
-                    uint64_t t1 = tables[v1];
-                    if (f0 & 1) t0 ^= mask;
-                    if (f1 & 1) t1 ^= mask;
-                    tables[node] = t0 & t1;
-                    stamp[node] = t;
-                    top--;
-                } else {
-                    if (top + 2 > stack_cap) { err = 1; break; }
-                    if (!k0) stack[top++] = v0;
-                    if (!k1) stack[top++] = v1;
-                }
-            }
+            err = bg_cut_table(fanin0, fanin1, tables, stamp, t, stack, stack_cap,
+                               root, leaves, n, out_t + r * limit + c);
             if (err) break;
-            out_t[r * limit + c] = tables[root];
         }
     }
     args[9] = epoch;
     return err;
+}
+
+/* ---- Whole-snapshot cuts with their truth tables --------------------- */
+
+/* repro.aig.cuts.CutEnumerator.enumerate over a whole snapshot, plus the
+ * truth table of every non-trivial cut:
+ *
+ * 1. the AND nodes in the snapshot's level-major order (fanins first), each
+ *    merging its fanins' stored cuts through bg_merge_row -- a PI or
+ *    constant fanin carries only its trivial cut -- and storing its own
+ *    trivial cut after the merged ones.  Nodes that share both fanin
+ *    variables merge again instead of sharing a memoized merge: the merge
+ *    is deterministic, so their cuts are the same;
+ * 2. per merged cut, bg_cut_table -- skipped when no table output is given
+ *    (cuts of more than 6 leaves have tables wider than 64 bits).
+ *
+ * Output rows are indexed by node id; a slot that is not an AND node gets
+ * count 0.  The work arrays are allocated per call.
+ * args: [0]=fanin0 [1]=fanin1 (int64 literals per slot) [2]=num_slots
+ *       [3]=and_ids (level-major) [4]=num_ands [5]=k [6]=limit
+ *       [7..10]=output per slot: leaves[limit + 1][k], sizes[limit + 1],
+ *               sigs[limit + 1] (uint64), counts (merged cuts; the trivial
+ *               cut is stored after them)
+ *       [11]=output tables[limit + 1] (uint64) per slot, or 0 for none
+ * Returns nonzero when the work arrays cannot be allocated (or, never on a
+ * snapshot, a cone walk outgrows its stack). */
+int bg_snapshot_cut_tables(const int64_t* args)
+{
+    const int64_t* fanin0 = (const int64_t*)args[0];
+    const int64_t* fanin1 = (const int64_t*)args[1];
+    int64_t slots = args[2];
+    const int64_t* and_ids = (const int64_t*)args[3];
+    int64_t num_ands = args[4];
+    int64_t k = args[5];
+    int64_t limit = args[6];
+    int64_t* out_l = (int64_t*)args[7];
+    int64_t* out_s = (int64_t*)args[8];
+    uint64_t* out_g = (uint64_t*)args[9];
+    int64_t* out_n = (int64_t*)args[10];
+    uint64_t* out_t = (uint64_t*)args[11];
+    int64_t width = limit + 1;
+    /* A walk's stack holds a fanin path of the cone plus at most one
+     * waiting sibling per path node. */
+    int64_t stack_cap = 2 * slots + 2;
+    uint64_t* tables = calloc(slots + 1, sizeof(uint64_t));
+    uint32_t* stamp = calloc(slots + 1, sizeof(uint32_t));
+    uint8_t* merged = calloc(slots + 1, 1);
+    int64_t* stack = malloc(stack_cap * sizeof(int64_t));
+    int err = !tables || !stamp || !merged || !stack;
+    for (int64_t s = 0; s < slots && !err; s++) out_n[s] = 0;
+    for (int64_t r = 0; r < num_ands && !err; r++) {
+        int64_t node = and_ids[r];
+        int64_t fanins[2] = {fanin0[node] >> 1, fanin1[node] >> 1};
+        const int64_t* fl[2];
+        const int64_t* fs[2];
+        const uint64_t* fg[2];
+        int64_t fn[2];
+        int64_t trivial_s[2] = {1, 1};
+        uint64_t trivial_g[2];
+        for (int side = 0; side < 2; side++) {
+            int64_t f = fanins[side];
+            if (merged[f]) {
+                fl[side] = out_l + f * width * k;
+                fs[side] = out_s + f * width;
+                fg[side] = out_g + f * width;
+                fn[side] = out_n[f] + 1;
+            } else {
+                trivial_g[side] = 1ull << (f & 63);
+                fl[side] = &fanins[side];
+                fs[side] = &trivial_s[side];
+                fg[side] = &trivial_g[side];
+                fn[side] = 1;
+            }
+        }
+        int64_t* ol = out_l + node * width * k;
+        int64_t* os = out_s + node * width;
+        uint64_t* og = out_g + node * width;
+        int64_t length = bg_merge_row(
+            fl[0], fs[0], fg[0], fn[0], fl[1], fs[1], fg[1], fn[1],
+            k, limit, ol, os, og);
+        ol[length * k] = node;
+        os[length] = 1;
+        og[length] = 1ull << (node & 63);
+        out_n[node] = length;
+        merged[node] = 1;
+    }
+    uint32_t t = 0;
+    for (int64_t r = 0; r < num_ands && out_t && !err; r++) {
+        int64_t node = and_ids[r];
+        for (int64_t c = 0; c < out_n[node] && !err; c++) {
+            int64_t at = node * width + c;
+            err = bg_cut_table(fanin0, fanin1, tables, stamp,
+                               bg_bump(&t, stamp, slots + 1), stack, stack_cap,
+                               node, out_l + at * k, out_s[at], out_t + at);
+        }
+    }
+    free(tables);
+    free(stamp);
+    free(merged);
+    free(stack);
+    return err;
+}
+
+/* ---- The MFFC-ordered rewrite scan ----------------------------------- */
+
+/* The AND(a, b) of Fragment.dry_run's _trivial, or -1 when none applies. */
+static int64_t bg_trivial_and(int64_t a, int64_t b)
+{
+    if (a == 0 || b == 0) return 0;
+    if (a == 1) return b;
+    if (b == 1) return a;
+    if (a == b) return a;
+    if (a == (b ^ 1)) return 0;
+    return -1;
+}
+
+static uint64_t bg_pair_hash(int64_t a, int64_t b)
+{
+    uint64_t h = (uint64_t)a * 0x9E3779B97F4A7C15ull;
+    h ^= (uint64_t)b * 0xC2B2AE3D27D4EB4Full;
+    return h ^ (h >> 31);
+}
+
+/* LevelizedAig.mffc_nodes replayed: the MFFC of root bounded by the n
+ * leaves, appended to nodes; returns its size.  leafmark, freed and
+ * remstamp are stamped with the epoch e, rem holds remaining references. */
+static int64_t bg_mffc(
+    int64_t root, const int64_t* leaves, int64_t n,
+    const int64_t* fanin0, const int64_t* fanin1, const uint8_t* is_and,
+    const int64_t* refs, uint32_t* leafmark, uint32_t* freed,
+    uint32_t* remstamp, int64_t* rem, int64_t* stack, int64_t* nodes,
+    uint32_t e)
+{
+    if (!is_and[root]) return 0;
+    for (int64_t w = 0; w < n; w++) leafmark[leaves[w]] = e;
+    int64_t count = 0, sp = 0;
+    stack[sp++] = root;
+    while (sp > 0) {
+        int64_t cur = stack[--sp];
+        if (freed[cur] != e) {
+            freed[cur] = e;
+            nodes[count++] = cur;
+        }
+        int64_t fanins[2] = {fanin0[cur] >> 1, fanin1[cur] >> 1};
+        for (int side = 0; side < 2; side++) {
+            int64_t f = fanins[side];
+            if (!is_and[f] || leafmark[f] == e || freed[f] == e) continue;
+            int64_t remaining = remstamp[f] == e ? rem[f] : refs[f];
+            rem[f] = remaining - 1;
+            remstamp[f] = e;
+            if (remaining == 1) stack[sp++] = f;
+        }
+    }
+    return count;
+}
+
+/* For a batch of roots, the global-enumeration loop of
+ * repro.synth.sweep.score_rewrites replayed per root:
+ *
+ * 1. each cut of at least two leaves gets its MFFC size (bg_mffc), and the
+ *    cuts are ordered stably by decreasing MFFC size;
+ * 2. the scan stops once |MFFC| <= the best gain so far;
+ * 3. a cut whose fragment is not synthesized yet stops the root's scan and
+ *    is reported as pending (the caller synthesizes it and scans again);
+ * 4. otherwise repro.synth.rewrite.evaluate_rewrite_cut: a negative budget
+ *    |MFFC| - min_gain rejects the cut, Fragment.dry_run runs against the
+ *    structural hash and aborts once its new nodes exceed the budget, every
+ *    AND node reached (hash hit or trivial simplification) counts as
+ *    reused, gain = |MFFC| - |reused in MFFC| - new nodes, and a cut whose
+ *    output literal is the root itself or whose gain is below min_gain is
+ *    rejected;
+ * 5. a cut replaces the best only on a strictly greater gain.
+ *
+ * All operands arrive through one int64 args block (pointers as int64):
+ *   [0]=fanin0 [1]=fanin1 (int64 literals per slot) [2]=is_and (uint8)
+ *   [3]=refs (int64 per slot: fanouts plus PO uses) [4]=num_slots
+ *   [5]=strash keys (sorted literal pairs) [6]=strash nodes [7]=strash size
+ *   [8]=roots [9]=num_roots [10]=k [11]=width
+ *   [12]=leaves[width][k] [13]=sizes[width] [14]=counts (per root)
+ *   [15]=fragment of each cut [width] per root
+ *   [16]=fragment offsets (num_fragments + 1, in AND pairs)
+ *   [17]=fragment AND pairs (fragment literals) [18]=fragment outputs (-1:
+ *        not synthesized yet) [19]=num_fragments [20]=min_gain
+ *   [21..26]=output per root: best cut (-1: none), gain, pending cut (-1:
+ *            none), offset into the node buffer, MFFC size, reused count
+ *   [27]=node buffer (each winner's MFFC, then its reused nodes)
+ *   [28]=node buffer capacity
+ * Returns the number of buffer entries the winners need (the caller scans
+ * again with a larger buffer when that exceeds the capacity), or -1 when
+ * the work arrays cannot be allocated. */
+int64_t bg_rewrite_scan(const int64_t* args)
+{
+    const int64_t* fanin0 = (const int64_t*)args[0];
+    const int64_t* fanin1 = (const int64_t*)args[1];
+    const uint8_t* is_and = (const uint8_t*)args[2];
+    const int64_t* refs = (const int64_t*)args[3];
+    int64_t slots = args[4];
+    const int64_t* strash_keys = (const int64_t*)args[5];
+    const int64_t* strash_nodes = (const int64_t*)args[6];
+    int64_t strash_size = args[7];
+    const int64_t* roots = (const int64_t*)args[8];
+    int64_t num_roots = args[9];
+    int64_t k = args[10];
+    int64_t width = args[11];
+    const int64_t* cut_l = (const int64_t*)args[12];
+    const int64_t* cut_s = (const int64_t*)args[13];
+    const int64_t* cut_n = (const int64_t*)args[14];
+    const int64_t* cut_f = (const int64_t*)args[15];
+    const int64_t* frag_off = (const int64_t*)args[16];
+    const int64_t* frag_and = (const int64_t*)args[17];
+    const int64_t* frag_out = (const int64_t*)args[18];
+    int64_t num_frags = args[19];
+    int64_t min_gain = args[20];
+    int64_t* out_cut = (int64_t*)args[21];
+    int64_t* out_gain = (int64_t*)args[22];
+    int64_t* out_pending = (int64_t*)args[23];
+    int64_t* out_off = (int64_t*)args[24];
+    int64_t* out_nd = (int64_t*)args[25];
+    int64_t* out_nr = (int64_t*)args[26];
+    int64_t* out_nodes = (int64_t*)args[27];
+    int64_t capacity = args[28];
+
+    int64_t max_ands = 0;
+    for (int64_t f = 0; f < num_frags; f++)
+        if (frag_off[f + 1] - frag_off[f] > max_ands)
+            max_ands = frag_off[f + 1] - frag_off[f];
+    int64_t buckets = 16;
+    while (buckets < 2 * strash_size) buckets <<= 1;
+    uint32_t* marks = calloc(4 * (slots + 1), sizeof(uint32_t));
+    int64_t* rem = malloc((slots + 1) * sizeof(int64_t));
+    int64_t* stack = malloc((slots + 1) * sizeof(int64_t));
+    int64_t* deref = malloc((slots + 1) * sizeof(int64_t));
+    int64_t* mapping = malloc((1 + k + max_ands) * sizeof(int64_t));
+    int64_t* reused = malloc((max_ands + 1) * sizeof(int64_t));
+    int64_t* table = malloc(3 * buckets * sizeof(int64_t));
+    if (!marks || !rem || !stack || !deref || !mapping || !reused || !table) {
+        free(marks); free(rem); free(stack); free(deref);
+        free(mapping); free(reused); free(table);
+        return -1;
+    }
+    uint32_t* leafmark = marks;
+    uint32_t* freed = marks + (slots + 1);
+    uint32_t* remstamp = marks + 2 * (slots + 1);
+    uint32_t* reusedmark = marks + 3 * (slots + 1);
+
+    /* The structural hash: open addressing over (lit0, lit1) -> node. */
+    for (int64_t b = 0; b < buckets; b++) table[3 * b + 2] = -1;
+    for (int64_t i = 0; i < strash_size; i++) {
+        int64_t a = strash_keys[2 * i], c = strash_keys[2 * i + 1];
+        uint64_t b = bg_pair_hash(a, c) & (buckets - 1);
+        while (table[3 * b + 2] >= 0) b = (b + 1) & (buckets - 1);
+        table[3 * b] = a;
+        table[3 * b + 1] = c;
+        table[3 * b + 2] = strash_nodes[i];
+    }
+
+    int64_t pos = 0;
+    uint32_t e = 0;
+    for (int64_t r = 0; r < num_roots; r++) {
+        int64_t root = roots[r];
+        out_cut[r] = -1;
+        out_gain[r] = 0;
+        out_pending[r] = -1;
+        out_off[r] = pos;
+        out_nd[r] = 0;
+        out_nr[r] = 0;
+        /* 1. MFFC sizes, stable order by decreasing size. */
+        int64_t order[BG_CUT_CAP];
+        int64_t msize[BG_CUT_CAP];
+        int64_t m = 0;
+        for (int64_t c = 0; c < cut_n[r]; c++) {
+            int64_t n = cut_s[r * width + c];
+            if (n < 2) continue;
+            msize[c] = bg_mffc(root, cut_l + (r * width + c) * k, n, fanin0, fanin1,
+                               is_and, refs, leafmark, freed, remstamp, rem,
+                               stack, deref, bg_bump(&e, marks, 4 * (slots + 1)));
+            int64_t at = m++;
+            while (at > 0 && msize[order[at - 1]] < msize[c]) {
+                order[at] = order[at - 1];
+                at--;
+            }
+            order[at] = c;
+        }
+        /* 2-5. The scan. */
+        int64_t best = -1, best_gain = 0;
+        for (int64_t i = 0; i < m; i++) {
+            int64_t c = order[i];
+            if (best >= 0 && msize[c] <= best_gain) break;
+            int64_t f = cut_f[r * width + c];
+            if (frag_out[f] < 0) {
+                out_pending[r] = c;
+                best = -1;
+                break;
+            }
+            int64_t budget = msize[c] - min_gain;
+            if (budget < 0) continue;
+            const int64_t* leaves = cut_l + (r * width + c) * k;
+            int64_t n = cut_s[r * width + c];
+            bg_bump(&e, marks, 4 * (slots + 1));
+            int64_t nd = bg_mffc(root, leaves, n, fanin0, fanin1, is_and, refs,
+                                 leafmark, freed, remstamp, rem, stack, deref, e);
+            /* Fragment.dry_run with the new-node budget. */
+            mapping[0] = 0;
+            for (int64_t w = 0; w < n; w++) mapping[1 + w] = leaves[w] << 1;
+            int64_t new_nodes = 0, nr = 0, aborted = 0;
+            for (int64_t j = frag_off[f]; j < frag_off[f + 1]; j++) {
+                int64_t l0 = frag_and[2 * j], l1 = frag_and[2 * j + 1];
+                int64_t m0 = mapping[l0 >> 1], m1 = mapping[l1 >> 1];
+                int64_t found = -1;
+                if (m0 >= 0 && m1 >= 0) {
+                    m0 ^= l0 & 1;
+                    m1 ^= l1 & 1;
+                    found = bg_trivial_and(m0, m1);
+                    if (found < 0) {
+                        int64_t a = m0 <= m1 ? m0 : m1, b2 = m0 <= m1 ? m1 : m0;
+                        uint64_t b = bg_pair_hash(a, b2) & (buckets - 1);
+                        while (table[3 * b + 2] >= 0) {
+                            if (table[3 * b] == a && table[3 * b + 1] == b2) {
+                                found = table[3 * b + 2] << 1;
+                                break;
+                            }
+                            b = (b + 1) & (buckets - 1);
+                        }
+                    }
+                }
+                int64_t at = 1 + n + (j - frag_off[f]);
+                if (found < 0) {
+                    if (++new_nodes > budget) { aborted = 1; break; }
+                    mapping[at] = -1;
+                    continue;
+                }
+                int64_t node = found >> 1;
+                if (is_and[node] && reusedmark[node] != e) {
+                    reusedmark[node] = e;
+                    reused[nr++] = node;
+                }
+                mapping[at] = found;
+            }
+            if (aborted) continue;
+            int64_t inside = 0;
+            for (int64_t j = 0; j < nr; j++) inside += freed[reused[j]] == e;
+            int64_t gain = nd - inside - new_nodes;
+            int64_t output = mapping[frag_out[f] >> 1];
+            if (output >= 0 && (output >> 1) == root) continue;
+            if (gain < min_gain) continue;
+            if (best < 0 || gain > best_gain) {
+                best = c;
+                best_gain = gain;
+                out_nd[r] = nd;
+                out_nr[r] = nr;
+                if (pos + nd + nr <= capacity) {
+                    for (int64_t j = 0; j < nd; j++) out_nodes[pos + j] = deref[j];
+                    for (int64_t j = 0; j < nr; j++) out_nodes[pos + nd + j] = reused[j];
+                }
+            }
+        }
+        if (best >= 0) {
+            out_cut[r] = best;
+            out_gain[r] = best_gain;
+            pos += out_nd[r] + out_nr[r];
+        } else {
+            out_nd[r] = 0;
+            out_nr[r] = 0;
+        }
+    }
+    free(marks); free(rem); free(stack); free(deref);
+    free(mapping); free(reused); free(table);
+    return pos;
 }
 
 /* min(popcount(t ^ target), popcount(t ^ target ^ mask)) per divisor —
@@ -715,13 +1087,12 @@ class CcKernels:
         lib.bg_simulate_level_step.restype = None
         lib.bg_cut_table_exact.argtypes = [ptr]
         lib.bg_cut_table_exact.restype = ctypes.c_int
-        lib.bg_cut_level_merge.argtypes = [
-            ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr,
-            i64, i64, i64, i64, ptr, ptr, ptr, ptr,
-        ]
-        lib.bg_cut_level_merge.restype = None
         lib.bg_local_cut_tables.argtypes = [ptr]
         lib.bg_local_cut_tables.restype = ctypes.c_int
+        lib.bg_snapshot_cut_tables.argtypes = [ptr]
+        lib.bg_snapshot_cut_tables.restype = ctypes.c_int
+        lib.bg_rewrite_scan.argtypes = [ptr]
+        lib.bg_rewrite_scan.restype = i64
         lib.bg_resub_similarity.argtypes = [ptr, ptr, ptr, i64, i64, ptr]
         lib.bg_resub_similarity.restype = None
         lib.bg_resub_one_match.argtypes = [ptr, ptr, ptr, i64, i64, ptr]
@@ -735,8 +1106,9 @@ class CcKernels:
         # lookups per call, which matters at cone-walk call rates.
         self._fn_simulate = lib.bg_simulate_level_step
         self._fn_cone = lib.bg_cut_table_exact
-        self._fn_level_merge = lib.bg_cut_level_merge
         self._fn_local_cuts = lib.bg_local_cut_tables
+        self._fn_snapshot_cuts = lib.bg_snapshot_cut_tables
+        self._fn_rewrite_scan = lib.bg_rewrite_scan
         self._fn_similarity = lib.bg_resub_similarity
         self._fn_one_match = lib.bg_resub_one_match
         self._fn_bitmap_any = lib.bg_bitmap_any
@@ -803,33 +1175,17 @@ class CcKernels:
 
         return walk
 
-    def cut_level_merge(
-        self, l0, s0, g0, n0, l1, s1, g1, n1, skip, k, limit, out_l, out_s, out_g, out_n
-    ) -> None:
-        count, width = s0.shape
-        self._fn_level_merge(
-            l0.ctypes.data,
-            s0.ctypes.data,
-            g0.ctypes.data,
-            n0.ctypes.data,
-            l1.ctypes.data,
-            s1.ctypes.data,
-            g1.ctypes.data,
-            n1.ctypes.data,
-            skip.ctypes.data,
-            count,
-            width,
-            int(k),
-            int(limit),
-            out_l.ctypes.data,
-            out_s.ctypes.data,
-            out_g.ctypes.data,
-            out_n.ctypes.data,
-        )
-
     def local_cut_tables(self, args_ptr: int) -> int:
         """Run ``bg_local_cut_tables`` on a filled args block (nonzero: overflow)."""
         return self._fn_local_cuts(args_ptr)
+
+    def snapshot_cut_tables(self, args_ptr: int) -> int:
+        """Run ``bg_snapshot_cut_tables`` on a filled args block (nonzero: failed)."""
+        return self._fn_snapshot_cuts(args_ptr)
+
+    def rewrite_scan(self, args_ptr: int) -> int:
+        """Run ``bg_rewrite_scan`` on a filled args block: entries needed, or -1."""
+        return self._fn_rewrite_scan(args_ptr)
 
     def resub_similarity(self, packed, target, mask) -> np.ndarray:
         n, words = packed.shape

@@ -75,7 +75,7 @@ class _TracedBackend:
 
     Every op the backend implements — the :data:`~repro.backend.api.OPS`
     vocabulary plus any capability op it lists in ``op_support()``, such as
-    ``cut_level_merge`` — is wrapped once at construction: a call bumps the
+    ``snapshot_cut_tables`` — is wrapped once at construction: a call bumps the
     process-wide ``backend_op_calls`` counter
     (and ``backend_op_fallbacks`` when the backend serves the op through a
     degraded path), then runs under a ``backend.<op>`` span carrying the

@@ -267,7 +267,7 @@ def _cmd_backends(args: argparse.Namespace) -> int:
         return 0
     rows = []
     # Union over the backends: capability ops beyond the portable vocabulary
-    # (e.g. the native whole-level cut merge) still get a table row.
+    # (e.g. the native whole-snapshot cuts) still get a table row.
     ops = sorted({op for info in payload["backends"].values() for op in info["ops"]})
     for op in ops:
         rows.append([op] + [payload["backends"][name]["ops"].get(op, "-") for name in names])

@@ -231,6 +231,9 @@ class JsonRequestHandler(BaseHTTPRequestHandler):
 
     server_version = "boolgebra-service/2.0"
     protocol_version = "HTTP/1.1"
+    # Headers and body go out as two writes: with Nagle on, a keep-alive
+    # client's delayed ACK holds every response after the first (~40 ms).
+    disable_nagle_algorithm = True
 
     def log_message(self, format: str, *args) -> None:  # noqa: A002
         pass  # request logging is the metrics' job; keep stdio clean

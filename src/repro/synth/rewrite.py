@@ -9,7 +9,7 @@ cone it frees (Mishchenko et al., *DAG-aware AIG rewriting*, DAC 2006).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Iterable, List, Optional, Sequence
 
 from repro.aig.aig import Aig, AigCycleError
 from repro.aig.cuts import Cut, local_cuts
@@ -48,7 +48,7 @@ def find_rewrite_candidate(
     attributes).
     """
     params = params or RewriteParams()
-    library = params.library or DEFAULT_LIBRARY
+    library = params.library if params.library is not None else DEFAULT_LIBRARY
     if not aig.is_and(node):
         return None
     cuts = local_cuts(
@@ -99,6 +99,8 @@ def evaluate_rewrite_cut(
     takes it from the backend: the exact cone walk per evaluated cut of the
     global enumeration, or, for small target sets, the native backend's
     compiled local-region op, which returns every local cut with its table).
+    The native backend's compiled global scan replays this function per cut
+    and builds its winners' candidates with :func:`rewrite_candidate`.
     ``deref`` optionally supplies a precomputed MFFC.
     """
     fragment = library.lookup(table, len(leaves))
@@ -120,8 +122,31 @@ def evaluate_rewrite_cut(
         return None
     if gain < params.effective_min_gain():
         return None
+    return rewrite_candidate(
+        node, leaves, fragment, gain, deref, estimate.reused_nodes, params.effective_min_gain()
+    )
 
-    def apply(target: Aig, fragment: Fragment = fragment, leaves=tuple(leaf_literals)) -> None:
+
+def rewrite_candidate(
+    node: int,
+    leaves: Sequence[int],
+    fragment: Fragment,
+    gain: int,
+    deref: Iterable[int],
+    reused: Iterable[int],
+    min_gain: int,
+) -> TransformCandidate:
+    """The candidate replacing ``node`` by ``fragment`` over the cut ``leaves``.
+
+    Built from a scored cut: by :func:`evaluate_rewrite_cut`, and for the
+    winners of the native backend's compiled scan (see
+    :func:`repro.synth.sweep.score_rewrites`), which reports the same
+    ``gain``, MFFC (``deref``) and ``reused`` nodes.
+    """
+    leaves = tuple(leaves)
+    leaf_literals = tuple(lit(leaf) for leaf in leaves)
+
+    def apply(target: Aig, fragment: Fragment = fragment, leaves=leaf_literals) -> None:
         output = fragment.instantiate(target, list(leaves))
         try:
             target.replace(node, output)
@@ -136,13 +161,13 @@ def evaluate_rewrite_cut(
         node=node,
         operation="rw",
         gain=gain,
-        leaves=tuple(leaves),
+        leaves=leaves,
         _apply=apply,
-        refs=tuple(leaves),
+        refs=leaves,
         deref=frozenset(deref),
-        reused=frozenset(estimate.reused_nodes),
-        min_gain=params.effective_min_gain(),
-        _regain=_fragment_regain(node, tuple(leaves), tuple(leaf_literals), fragment),
+        reused=frozenset(reused),
+        min_gain=min_gain,
+        _regain=_fragment_regain(node, leaves, leaf_literals, fragment),
     )
 
 

@@ -17,7 +17,7 @@ synthesized structures near the 222 NPN classes of 4-variable logic.
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.aig.npn import NpnTransform, npn_canonical
 from repro.aig.truth import table_mask, table_support
@@ -44,6 +44,10 @@ class RewriteLibrary:
         fragment = self._synthesize(table, num_vars)
         self._by_table[key] = fragment
         return fragment
+
+    def cached(self, table: int, num_vars: int) -> Optional[Fragment]:
+        """The fragment :meth:`lookup` would return, if it is already built."""
+        return self._by_table.get((table & table_mask(num_vars), num_vars))
 
     # ------------------------------------------------------------------ #
     def _synthesize(self, table: int, num_vars: int) -> Fragment:

@@ -254,5 +254,13 @@ def compress_script(
 
 
 def _adopt(target: Aig, source: Aig) -> None:
-    """Replace the contents of ``target`` with those of ``source`` (same interface)."""
+    """Replace the contents of ``target`` with those of ``source`` (same interface).
+
+    The structural version moves past every version ``target`` had: the
+    copy's own count (its construction count) can equal the old one, and
+    caches keyed on (network, version) would then serve entries computed on
+    the replaced network.
+    """
+    version = target.modification_count
     target.__dict__.update(source.copy(target.name).__dict__)
+    target.modification_count = version + 1

@@ -52,6 +52,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
+import numpy as np
+
 from repro.aig.aig import Aig
 from repro.aig.cuts import CutEnumerator
 from repro.aig.kernels import LevelizedAig, cached_topological_order, expand_region, levelized
@@ -61,7 +63,12 @@ from repro.obs.trace import TRACER
 from repro.synth.candidates import TransformCandidate
 from repro.synth.refactor import RefactorParams, find_refactor_candidate
 from repro.synth.resub import ResubParams, find_resub_candidate
-from repro.synth.rewrite import RewriteParams, evaluate_rewrite_cut, find_rewrite_candidate
+from repro.synth.rewrite import (
+    RewriteParams,
+    evaluate_rewrite_cut,
+    find_rewrite_candidate,
+    rewrite_candidate,
+)
 from repro.synth.rewrite_lib import DEFAULT_LIBRARY, RewriteLibrary
 
 
@@ -133,19 +140,20 @@ def score_rewrites(
     """Best rewriting candidate per node, scored against one frozen snapshot.
 
     Unlike the sequential finder — which enumerates cuts in a bounded local
-    region per node — the batched scorer runs one vectorized full-network
-    enumeration and evaluates the candidates with the shared
-    :func:`~repro.synth.rewrite.evaluate_rewrite_cut` core.  Cut truth
-    tables are computed lazily with the backend's exact cone walk: the
-    MFFC-sorted scan evaluates only a fraction of the enumerated cuts, and
-    most cut leaf combinations are structurally unreachable under random
-    simulation anyway, so an upfront batched extraction wastes nearly all
-    of its work on tables that are either incomplete or never consulted.
-    ``table`` memoizes the small-target scoring only.
+    region per node — the batched scorer runs one full-network enumeration
+    and scans each node's cuts in decreasing |MFFC| order with the shared
+    :func:`~repro.synth.rewrite.evaluate_rewrite_cut` core.  On the native
+    backend the whole branch is two compiled calls (see
+    :func:`_score_compiled`): one enumerates every cut with its truth table
+    — in C a cone walk per cut costs less than deciding which cuts the scan
+    will reach — and one runs the scan.  Elsewhere the Python loop below
+    computes truth tables lazily with the backend's exact cone walk, only
+    for the cuts the MFFC-sorted scan evaluates.  ``table`` memoizes the
+    small-target scoring only.
     """
     del sweep_params
     params = params or RewriteParams()
-    library = params.library or DEFAULT_LIBRARY
+    library = params.library if params.library is not None else DEFAULT_LIBRARY
     topo = cached_topological_order(aig)
     targets = [n for n in topo if nodes is None or n in nodes]
     if nodes is not None and len(targets) * 2 < len(topo):
@@ -157,6 +165,9 @@ def score_rewrites(
     backend = get_backend()
     view = levelized(aig)
     view.ensure_node_arrays(aig)
+    compiled = _score_compiled(aig, view, targets, params, library, backend)
+    if compiled is not None:
+        return compiled
     enumerator = CutEnumerator(k=params.cut_size, cuts_per_node=params.cuts_per_node)
     all_cuts = enumerator.enumerate(aig)
     candidates: Dict[int, TransformCandidate] = {}
@@ -188,6 +199,77 @@ def score_rewrites(
                 best = candidate
         if best is not None:
             candidates[node] = best
+    return candidates
+
+
+def _score_compiled(
+    aig: Aig,
+    view: LevelizedAig,
+    targets: List[int],
+    params: RewriteParams,
+    library: RewriteLibrary,
+    backend,
+) -> Optional[Dict[int, TransformCandidate]]:
+    """The global branch of :func:`score_rewrites` in two compiled calls.
+
+    The backend's ``snapshot_cut_tables`` returns every cut of the snapshot
+    with its truth table.  Each distinct (table, cut size) of the targets'
+    cuts is resolved through ``library`` into a fragment, and the backend's
+    ``rewrite_scan`` replays the per-node MFFC-ordered scan.  A fragment
+    the library has not built yet stops its node's scan; it is built with
+    :meth:`~repro.synth.rewrite_lib.RewriteLibrary.lookup` and the node is
+    scanned again, so the library builds exactly the fragments the Python
+    loop would.  Only the winners become candidates, through
+    :func:`~repro.synth.rewrite.rewrite_candidate`.  ``None`` when the
+    backend lacks either op or declines, and for cuts of more than 6
+    leaves, whose truth tables do not fit the ops' 64-bit words.
+    """
+    snapshot_cut_tables = getattr(backend, "snapshot_cut_tables", None)
+    rewrite_scan = getattr(backend, "rewrite_scan", None)
+    if snapshot_cut_tables is None or rewrite_scan is None or params.cut_size > 6:
+        return None
+    found = snapshot_cut_tables(view, params.cut_size, params.cuts_per_node)
+    if found is None:
+        return None
+    roots = np.array(targets, dtype=np.int64)
+    leaves, sizes, tables, counts = (array[roots] for array in found)
+    scanned = (np.arange(sizes.shape[1]) < counts[:, None]) & (sizes >= 2)
+    key_of = np.zeros(sizes.shape, np.int64)
+    keys: List[Tuple[int, int]] = []
+    for size in range(2, params.cut_size + 1):
+        chosen = scanned & (sizes == size)
+        if chosen.any():
+            distinct, inverse = np.unique(tables[chosen], return_inverse=True)
+            key_of[chosen] = inverse.reshape(-1) + len(keys)
+            keys.extend((table, size) for table in distinct.tolist())
+    fragments = [library.cached(table, size) for table, size in keys]
+    min_gain = params.effective_min_gain()
+    best: List[Optional[tuple]] = [None] * len(targets)
+    rows = np.arange(len(targets))
+    while rows.size:
+        scan = rewrite_scan(
+            view, aig._strash, roots[rows], leaves[rows], sizes[rows], counts[rows],
+            key_of[rows], fragments, min_gain,
+        )
+        if scan is None:
+            return None
+        found_best, pending = scan
+        for row, result in zip(rows.tolist(), found_best):
+            best[row] = result
+        for index, cut in pending:
+            key = int(key_of[rows[index], cut])
+            fragments[key] = library.lookup(*keys[key])
+        rows = rows[[index for index, _ in pending]]
+    candidates: Dict[int, TransformCandidate] = {}
+    for row, node in enumerate(targets):
+        if best[row] is None:
+            continue
+        cut, gain, deref, reused = best[row]
+        cut_leaves = leaves[row, cut, : sizes[row, cut]].tolist()
+        fragment = fragments[int(key_of[row, cut])]
+        candidates[node] = rewrite_candidate(
+            node, cut_leaves, fragment, gain, deref, reused, min_gain
+        )
     return candidates
 
 

@@ -89,7 +89,7 @@ def test_cut_enumeration_identical_cuts_and_order(backend_name, spec, k):
     with use_backend(backend_name):
         optimized = enumerator.enumerate(aig)
     # Same nodes, same cuts, same priority order (the native backend's
-    # whole-level merge kernel replays the exact insertion semantics).
+    # whole-snapshot kernel replays the exact insertion semantics).
     assert reference == optimized
     assert reference == enumerator.enumerate_reference(aig)
 

@@ -182,8 +182,8 @@ def test_cli_backends_json(capsys):
     assert payload["env_var"] == ENV_VAR
     assert set(payload["backends"]) == set(available_backends())
     for info in payload["backends"].values():
-        # The native backend reports extra capabilities (whole-level cut
-        # merge) beyond the portable op vocabulary.
+        # The native backend reports extra capabilities (whole-snapshot
+        # cuts, the rewrite scan) beyond the portable op vocabulary.
         assert set(info["ops"]) >= set(OPS)
 
 

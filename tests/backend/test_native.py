@@ -5,7 +5,7 @@ The byte-identity of the native ops against the reference is covered by the
 native backend — resolving the cc engine, the per-op degradation to the
 reference code when no engine exists (and ``auto`` still choosing native
 then), the persistent compile cache (``BOOLGEBRA_NATIVE_CACHE``) with worker
-prewarm, and the whole-level cut-merge capability the enumerator
+prewarm, and the whole-snapshot cut capability the enumerator
 feature-detects.
 """
 
@@ -108,9 +108,9 @@ def test_degraded_native_script_runs_reference_code(degraded_native, monkeypatch
 
     expected = optimized("reference")
     # Every call of a compiled op must land in the reference's own code.
-    # (The capability ops cut_level_merge and local_cut_tables have no
-    # reference counterpart: they return None.)
-    ops = set(_OP_LABELS) - {"cut_level_merge", "local_cut_tables"}
+    # (The capability ops snapshot_cut_tables, rewrite_scan and
+    # local_cut_tables have no reference counterpart: they return None.)
+    ops = set(_OP_LABELS) - {"snapshot_cut_tables", "rewrite_scan", "local_cut_tables"}
     entered, served = Counter(), Counter()
     for op in ops:
         monkeypatch.setattr(
@@ -175,29 +175,16 @@ def test_no_engine_ops_identical_bytes(no_engine):
     assert values.tobytes() == expected.tobytes()
 
 
-def test_no_engine_cut_level_merge_returns_none_and_enumerate_falls_back(
+def test_no_engine_snapshot_cut_tables_returns_none_and_enumerate_falls_back(
     monkeypatch,
 ):
     _degraded(monkeypatch)
     backend = NativeBackend()
-    assert (
-        backend.cut_level_merge(
-            np.zeros((0, 9, 4), np.int64),
-            np.zeros((0, 9), np.int64),
-            np.zeros((0, 9), np.uint64),
-            np.zeros(0, np.int64),
-            np.zeros((0, 9, 4), np.int64),
-            np.zeros((0, 9), np.int64),
-            np.zeros((0, 9), np.uint64),
-            np.zeros(0, np.int64),
-            np.zeros(0, np.uint8),
-            4,
-            8,
-        )
-        is None
-    )
-    # The enumerator's zero-row probe sees None and takes the Python path.
     aig = random_aig(SPEC)
+    from repro.aig.kernels import levelized
+
+    assert backend.snapshot_cut_tables(levelized(aig), 4, 8) is None
+    # The enumerator sees None and takes the Python path.
     enumerator = CutEnumerator(k=4, cuts_per_node=8)
     import repro.aig.cuts as cuts_module
 
@@ -206,7 +193,7 @@ def test_no_engine_cut_level_merge_returns_none_and_enumerate_falls_back(
 
 
 # --------------------------------------------------------------------------- #
-# Engine resolution and the whole-level merge capability
+# Engine resolution and the whole-snapshot cut capability
 # --------------------------------------------------------------------------- #
 def _engine_or_skip():
     kernels, reason = native_kernels.load_engine()
@@ -221,10 +208,11 @@ def test_engine_labels_ops_when_available():
     support = backend.op_support()
     assert backend.engine_name() == kernels.engine
     assert support["sweep_commit"] == f"{kernels.engine}:bitmap-conflict-screen"
-    assert support["cut_level_merge"] == f"{kernels.engine}:whole-level-merge"
+    assert support["snapshot_cut_tables"] == f"{kernels.engine}:whole-snapshot-cuts"
 
 
-@pytest.mark.parametrize("k", [4, 6])  # k=6 exercises the signed full mask
+# k=6 exercises the signed full mask, k=8 the cuts enumerated without tables.
+@pytest.mark.parametrize("k", [4, 6, 8])
 def test_enumerate_identical_under_native_engine(k):
     _engine_or_skip()
     aig = random_aig(SPEC)
@@ -235,7 +223,7 @@ def test_enumerate_identical_under_native_engine(k):
 
 
 def test_enumerate_scalar_fallback_above_kernel_cap_under_live_engine(monkeypatch):
-    # 64 cuts per node need 65 slots per row, beyond the whole-level
+    # 64 cuts per node need 65 slots per row, beyond the whole-snapshot
     # kernel's 64: it declines with the engine loaded, and the enumerator
     # takes its scalar merge loop instead.
     _engine_or_skip()
@@ -340,4 +328,4 @@ def test_cli_backends_json_reports_native_engine(capsys):
     payload = json.loads(capsys.readouterr().out)
     native = payload["backends"]["native"]
     assert "engine" in native  # "cc", or null when degraded
-    assert "cut_level_merge" in native["ops"]
+    assert "snapshot_cut_tables" in native["ops"]

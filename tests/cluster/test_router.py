@@ -156,6 +156,13 @@ def test_fleet_metrics_aggregate_and_label_shards(fleet):
     assert "boolgebra_submitted_total" in text
 
 
+def test_router_keep_alive_requests_are_not_held_by_delayed_acks(fleet, keep_alive_median):
+    router, _ = fleet
+    with RouterServer(router, port=0) as server:
+        # One connection, HTTP/1.1 keep-alive: no ~40 ms delayed-ACK stall.
+        assert keep_alive_median(server.url) < 0.020
+
+
 def test_router_server_speaks_the_service_api(fleet):
     router, _ = fleet
     with RouterServer(router, port=0) as server:

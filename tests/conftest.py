@@ -67,3 +67,31 @@ def small_random_aig() -> Aig:
 def medium_random_aig() -> Aig:
     """A deterministic ~200-node random AIG with 10 PIs."""
     return random_aig(RandomAigSpec(num_pis=10, num_pos=4, num_ands=160, seed=9, name="rand160"))
+
+
+@pytest.fixture
+def keep_alive_median():
+    """Measure a front end's median ``GET /v1/healthz`` time, in seconds,
+    over one kept-alive HTTP/1.1 connection."""
+    import http.client
+    import statistics
+    import time
+    from urllib.parse import urlsplit
+
+    def measure(url: str, requests: int = 20) -> float:
+        parts = urlsplit(url)
+        connection = http.client.HTTPConnection(parts.hostname, parts.port, timeout=10)
+        times = []
+        try:
+            for _ in range(requests):
+                start = time.perf_counter()
+                connection.request("GET", "/v1/healthz")
+                response = connection.getresponse()
+                response.read()
+                times.append(time.perf_counter() - start)
+                assert response.status == 200
+        finally:
+            connection.close()
+        return statistics.median(times)
+
+    return measure

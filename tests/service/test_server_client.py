@@ -205,3 +205,10 @@ def test_service_result_timeout():
     with pytest.raises(TimeoutError):
         service.result(job.job_id, timeout=0.05)
     service.scheduler.close()
+
+
+def test_keep_alive_requests_are_not_held_by_delayed_acks(server, keep_alive_median):
+    # Headers and body are two writes; with Nagle on, every response after
+    # the first on a kept-alive connection waited for the client's delayed
+    # ACK (~40 ms).
+    assert keep_alive_median(server.url) < 0.020

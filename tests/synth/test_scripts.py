@@ -51,3 +51,28 @@ def test_passes_never_increase_size(example_aig):
         aig = example_aig.copy()
         stats = pass_fn(aig)
         assert stats.size_after <= stats.size_before
+
+
+def test_balance_moves_the_structural_version_forward():
+    # ``b`` replaces the network's contents with a fresh copy's, whose
+    # construction count can equal the old version; the version must still
+    # advance, or the (network, version)-keyed caches -- the shared candidate
+    # table, the analysis, the topological order -- serve entries of the
+    # pre-balance network to the samples drawn after it.
+    from repro.aig.random_aig import RandomAigSpec, random_aig
+    from repro.engine import Engine
+    from repro.engine.evaluator import record_signature
+
+    for seed in (1, 4):
+        spec = RandomAigSpec(num_pis=6, num_pos=3, num_ands=80, seed=0, redundancy=0.3)
+        engine = Engine.from_aig(random_aig(spec))
+        engine.sample(2, guided=False, seed=0)
+        before = engine.aig.modification_count
+        engine.run("b")
+        assert engine.aig.modification_count > before
+        records = engine.sample(4, guided=False, seed=seed)
+        fresh = Engine.from_aig(engine.aig, copy=True).sample(4, guided=False, seed=seed)
+        for record, expected in zip(records, fresh):
+            # Six PIs: the equivalence check is exhaustive.
+            assert check_equivalence(record.result.optimized, engine.aig).equivalent
+            assert record_signature(record) == record_signature(expected)
