@@ -11,8 +11,6 @@ The submodules provide:
 ``aig``
     The mutable, structurally hashed :class:`~repro.aig.aig.Aig` network with
     fanout tracking and ABC-style in-place node replacement.
-``traversal``
-    Topological orders, transitive fanin/fanout cones and level computation.
 ``cuts``
     K-feasible priority-cut enumeration.
 ``reconv_cut``

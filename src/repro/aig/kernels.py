@@ -118,7 +118,6 @@ class LevelizedAig:
         "_fanin1_list",
         "_is_and_list",
         "_ref_counts",
-        "_native_scratch",
     )
 
     def __init__(self, aig: "Aig") -> None:
@@ -185,14 +184,11 @@ class LevelizedAig:
         self._first_encounter_order: List[int] = []
         # Lazily built by ensure_node_arrays(): plain-list fanin/fanout and
         # reference-count snapshots for the scalar inner loops of the
-        # sweep-and-commit scorers (MFFC, cone and dirty-cone walks).
+        # sweep-and-commit scorers (MFFC walks) and the native kernels.
         self._fanin0_list: List[int] = []
         self._fanin1_list: List[int] = []
         self._is_and_list: List[bool] = []
         self._ref_counts: List[int] = []
-        # Owned by the native backend's compiled cone walk: int64/uint64
-        # array mirrors of the fanin lists plus epoch-stamped table scratch.
-        self._native_scratch = None
         pos = aig.pos()
         self.po_vars = np.array([lit_var(d) for d in pos], dtype=np.int64)
         self.po_masks = np.array(
@@ -270,7 +266,7 @@ class LevelizedAig:
         return self._first_encounter_order
 
     # ------------------------------------------------------------------ #
-    # Incremental sweep hooks: fanout / MFFC arrays and dirty-cone checks
+    # Incremental sweep hooks: fanout / MFFC arrays
     # ------------------------------------------------------------------ #
     def ensure_node_arrays(self, aig: "Aig") -> None:
         """Populate the plain-list structure snapshots (idempotent).
@@ -278,8 +274,8 @@ class LevelizedAig:
         ``aig`` must be the network this view was built from, still at the
         snapshot version.  The lists mirror the per-node storage of the
         network — fanin literals, AND-liveness and total reference counts
-        (fanouts + PO uses) — and give the scalar walks of the sweep scorers
-        (MFFC, cut cone, dirty-cone checks) plain list indexing instead of
+        (fanouts + PO uses) — and give the MFFC walks of the sweep scorers
+        and the native backend's kernels plain list indexing instead of
         method calls on the mutable network.
         """
         if self._ref_counts:
@@ -333,58 +329,6 @@ class LevelizedAig:
                 if count == 1:
                     stack.append(fanin)
         return freed
-
-    def cone_set(self, root: int, leaves) -> set:
-        """AND nodes in the cone of ``root`` bounded by ``leaves`` (root included)."""
-        is_and = self._is_and_list
-        fanin0 = self._fanin0_list
-        fanin1 = self._fanin1_list
-        leaf_set = set(leaves)
-        cone: set = set()
-        if not is_and[root] or root in leaf_set:
-            return cone
-        stack = [root]
-        while stack:
-            current = stack.pop()
-            if current in cone:
-                continue
-            cone.add(current)
-            for fanin in (fanin0[current] >> 1, fanin1[current] >> 1):
-                if is_and[fanin] and fanin not in leaf_set and fanin not in cone:
-                    stack.append(fanin)
-        return cone
-
-    def dirty_cone(self, root: int, leaves, dirty: set) -> bool:
-        """Cheap cone check: does the cone of ``root`` touch ``dirty``?
-
-        Walks the snapshot fanin lists from ``root`` down to ``leaves``
-        (leaves themselves included in the check) with early exit on the
-        first dirty node.  This is the cone-walk alternative to the sweep
-        engine's exact journal-footprint conflict detection
-        (:func:`repro.synth.sweep.commit_candidates`) for callers that do
-        not carry per-candidate footprints.
-        """
-        if root in dirty:
-            return True
-        for leaf in leaves:
-            if leaf in dirty:
-                return True
-        is_and = self._is_and_list
-        fanin0 = self._fanin0_list
-        fanin1 = self._fanin1_list
-        leaf_set = set(leaves)
-        seen = {root}
-        stack = [root]
-        while stack:
-            current = stack.pop()
-            for fanin in (fanin0[current] >> 1, fanin1[current] >> 1):
-                if fanin in leaf_set or fanin in seen or not is_and[fanin]:
-                    continue
-                if fanin in dirty:
-                    return True
-                seen.add(fanin)
-                stack.append(fanin)
-        return False
 
     def value_dict(self, values: np.ndarray) -> dict:
         """Present a value matrix as the historical node -> signature dict.

@@ -11,9 +11,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Sequence
 
-from repro.aig.aig import Aig
-from repro.aig.literals import lit_is_compl, lit_var
-from repro.aig.traversal import cone_nodes
+from repro.aig.aig import Aig, NodeType
 
 
 def table_mask(num_vars: int) -> int:
@@ -70,31 +68,42 @@ def cut_truth_table(aig: Aig, root: int, leaves: Sequence[int]) -> int:
     ``leaves`` are node ids; leaf ``i`` becomes truth-table variable ``i``.
     ``root`` is a node id.  The root's polarity is the node output itself (no
     complementation is applied); callers deal with PO/edge complements.
+    Raises ``ValueError`` when the cone of ``root`` reaches a PI (or a
+    freed slot) that is not a leaf.
     """
     num_vars = len(leaves)
     mask = table_mask(num_vars)
     tables: Dict[int, int] = {leaf: cached_table_var(i, num_vars) for i, leaf in enumerate(leaves)}
     tables[0] = 0  # constant node
-    if root in tables:
-        return tables[root]
-    for node in cone_nodes(aig, root, leaves):
-        f0, f1 = aig.fanins(node)
-        t0 = tables.get(lit_var(f0))
-        t1 = tables.get(lit_var(f1))
-        if t0 is None or t1 is None:
-            raise ValueError(
-                f"leaves {list(leaves)} do not form a cut of node {root}: "
-                f"node {node} depends on uncovered logic"
-            )
-        if lit_is_compl(f0):
-            t0 ^= mask
-        if lit_is_compl(f1):
-            t1 ^= mask
-        tables[node] = t0 & t1
-    if root not in tables:
-        raise ValueError(
-            f"root {root} is not covered by the given leaves {list(leaves)}"
-        )
+    fanin0 = aig._fanin0
+    fanin1 = aig._fanin1
+    node_type = aig._type
+    and_type = NodeType.AND
+    # Iterative post-order over the cone bounded by the leaves.  A node with
+    # a table is done; the network is acyclic, so a node pushed twice is
+    # finished before its second entry is popped.
+    stack = [(root, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            f0 = fanin0[node]
+            f1 = fanin1[node]
+            t0 = tables[f0 >> 1]
+            t1 = tables[f1 >> 1]
+            if f0 & 1:
+                t0 ^= mask
+            if f1 & 1:
+                t1 ^= mask
+            tables[node] = t0 & t1
+        elif node not in tables:
+            if node_type[node] != and_type:
+                raise ValueError(
+                    f"leaves {list(leaves)} do not form a cut of node {root}: "
+                    f"its cone reaches node {node}, which is not an AND node"
+                )
+            stack.append((node, True))
+            stack.append((fanin1[node] >> 1, False))
+            stack.append((fanin0[node] >> 1, False))
     return tables[root]
 
 

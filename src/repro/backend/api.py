@@ -18,9 +18,6 @@ Op vocabulary
 ===========================  =================================================
 ``simulate_level_step``      one CSR level of uint64 AND/complement
                              propagation (:meth:`LevelizedAig.simulate`)
-``cut_table_exact``          exact cone-walk cut truth table (sweep rewrite
-                             scoring)
-``resub_zero_match``         0-resub divisor scan (table equality)
 ``resub_rank_divisors``      similarity ranking of resub divisors
 ``resub_one_match``          1-resub AND/OR pair search over ranked divisors
 ``sweep_commit``             apply a batch of footprint-disjoint rewrites in
@@ -30,7 +27,6 @@ Op vocabulary
 ``sage_layer_fused``         fused affine + ReLU6 + dropout of one GraphSAGE
                              block (forward)
 ``sage_layer_backward``      the matching fused backward step
-``adam_step_fused``          one allocation-free Adam update
 ===========================  =================================================
 
 Selection is handled by :mod:`repro.backend.registry`
@@ -49,8 +45,6 @@ import numpy as np
 #: can see which ops an implementation accelerates and which fell back.
 OPS: Tuple[str, ...] = (
     "simulate_level_step",
-    "cut_table_exact",
-    "resub_zero_match",
     "resub_rank_divisors",
     "resub_one_match",
     "sweep_commit",
@@ -58,7 +52,6 @@ OPS: Tuple[str, ...] = (
     "csr_aggregate_t",
     "sage_layer_fused",
     "sage_layer_backward",
-    "adam_step_fused",
 )
 
 
@@ -78,8 +71,9 @@ class Backend:
         """Per-op implementation report, e.g. ``{"csr_aggregate": "scipy"}``.
 
         Values are free-form short strings; the convention is the mechanism
-        name for native implementations ("numpy", "scipy", "cc:cone-walk")
-        and ``"fallback:<reason>"`` for inherited reference code.
+        name for native implementations ("numpy", "scipy",
+        "cc:fused-level-loop") and ``"fallback:<reason>"`` for an op that a
+        degraded engine serves from the inherited reference code.
         """
         raise NotImplementedError
 
@@ -99,29 +93,8 @@ class Backend:
         raise NotImplementedError
 
     # ------------------------------------------------------------------ #
-    # Sweep scoring
-    # ------------------------------------------------------------------ #
-    def cut_table_exact(self, view: Any, root: int, leaves: Tuple[int, ...]) -> int:
-        """Exact cut truth table from a scalar cone walk over the snapshot."""
-        raise NotImplementedError
-
-    # ------------------------------------------------------------------ #
     # Resubstitution matching
     # ------------------------------------------------------------------ #
-    def resub_zero_match(
-        self,
-        divisors: Sequence[int],
-        tables: Dict[int, int],
-        target: int,
-        mask: int,
-    ) -> Optional[Tuple[int, bool]]:
-        """First divisor whose table equals the target (or its complement).
-
-        Scans ``divisors`` in order; per divisor the plain table is checked
-        before the complemented one.  Returns ``(divisor, complemented)``.
-        """
-        raise NotImplementedError
-
     def resub_rank_divisors(
         self,
         divisors: Sequence[int],
@@ -197,8 +170,4 @@ class Backend:
         input_grad: bool, key: Any = None,
     ) -> Optional[np.ndarray]:
         """The matching fused backward step (dropout, ReLU6, conv gradients)."""
-        raise NotImplementedError
-
-    def adam_step_fused(self, optimizer: Any) -> None:
-        """One Adam update over ``optimizer.parameters`` (allocation-free)."""
         raise NotImplementedError

@@ -3,10 +3,9 @@
 The one fast backend, layered directly on :class:`ReferenceBackend`.  It
 overrides two groups of ops:
 
-* **Compiled integer loops** — the fused level-step simulation, the exact
-  cone-walk truth table, resub similarity ranking and the 8-combo
-  one-match scan, and the sweep-commit conflict screen: the ops whose
-  remaining cost is Python loop overhead.
+* **Compiled integer loops** — the fused level-step simulation, resub
+  similarity ranking and the 8-combo one-match scan, and the sweep-commit
+  conflict screen: the ops whose remaining cost is Python loop overhead.
   Three capability ops go further, replacing whole Python loops: the
   whole-snapshot priority cuts with their truth tables and the
   MFFC-ordered fragment dry-run scan of global rewrite scoring, and the
@@ -59,18 +58,8 @@ _UINT64_MASK = (1 << 64) - 1
 #: identical either way.
 _NATIVE_RESUB_MIN = 8
 
-#: Pending-stack capacity of the compiled cone walk; a deeper reconvergent
-#: cone (never seen on the benchmark set) falls back to the Python walk.
-_CONE_STACK = 8192
-
-#: Per-arity ``(leaf_tables, mask)`` for the compiled cone walk: the uint64
-#: array of leaf-variable patterns plus the full-table mask.  Process-cached
-#: so engine walkers can memoise the array's raw pointer by identity.
-_ARITY_META: Dict[int, Tuple[np.ndarray, int]] = {}
-
 _OP_LABELS = {
     "simulate_level_step": "fused-level-loop",
-    "cut_table_exact": "cone-walk",
     "snapshot_cut_tables": "whole-snapshot-cuts",
     "rewrite_scan": "mffc-ordered-dry-run",
     "local_cut_tables": "local-region-cuts",
@@ -80,15 +69,13 @@ _OP_LABELS = {
 }
 
 
-def _arity_meta(num_vars: int) -> Tuple[np.ndarray, int]:
-    cached = _ARITY_META.get(num_vars)
-    if cached is None:
-        from repro.aig.truth import cached_table_var, table_mask
-
-        variables = [cached_table_var(i, num_vars) for i in range(num_vars)]
-        cached = (np.array(variables, dtype=np.uint64), table_mask(num_vars))
-        _ARITY_META[num_vars] = cached
-    return cached
+def _node_arrays(view) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The snapshot's fanin literals and AND flags as the kernels' arrays."""
+    return (
+        np.array(view._fanin0_list, np.int64),
+        np.array(view._fanin1_list, np.int64),
+        np.array(view._is_and_list, np.uint8),
+    )
 
 
 def _check_scan_inputs(slots, roots, leaves, sizes, counts, fragment_of, num_fragments) -> None:
@@ -144,134 +131,6 @@ class _Workspaces:
         return array
 
 
-class _ConeScratch:
-    """Per-snapshot scratch of the compiled cut walks (epoch-stamped).
-
-    Owns every array the cone walk and the local-region kernel touch, plus
-    the engine-built ``walk`` closure and the kernel's args block, which
-    hold raw pointers into those arrays — keeping them on one object
-    guarantees the pointers cannot outlive their storage.  Both kernels
-    share the table scratch and its epoch counter.  The walk's pending
-    stack is built on the walk's first use: a snapshot scored only through
-    the local-region kernel (and kept alive by a sampled copy) never pays
-    for it.
-    """
-
-    __slots__ = (
-        "fanin0",
-        "fanin1",
-        "tables",
-        "stamp",
-        "stack",
-        "leaves",
-        "out",
-        "epoch",
-        "walk",
-        "is_and",
-        "region",
-        "visit",
-        "local",
-        "local_args",
-    )
-
-    def __init__(self, view: Any) -> None:
-        self.fanin0 = np.array(view._fanin0_list, dtype=np.int64)
-        self.fanin1 = np.array(view._fanin1_list, dtype=np.int64)
-        slots = self.fanin0.shape[0]
-        self.tables = np.zeros(slots, dtype=np.uint64)
-        self.stamp = np.zeros(slots, dtype=np.uint32)
-        self.epoch = 0
-        self.walk = None
-        self.is_and = np.array(view._is_and_list, dtype=np.uint8)
-        self.region = np.zeros(slots, dtype=np.uint32)
-        self.visit = np.zeros(slots, dtype=np.uint32)
-        self.local = np.zeros(slots, dtype=np.int64)
-        # The local-region kernel's args block (layout in the kernel source):
-        # the per-snapshot slots are filled here, the rest per call.
-        self.local_args = np.zeros(26, dtype=np.int64)
-        self.local_args[:9] = [
-            array.ctypes.data
-            for array in (
-                self.fanin0, self.fanin1, self.is_and, self.tables,
-                self.stamp, self.region, self.visit, self.local,
-            )
-        ] + [slots]
-
-    def cone_walk(self, kernels):
-        """The engine's cone-walk closure over this scratch (built once)."""
-        if self.walk is None:
-            self.stack = np.zeros(_CONE_STACK, dtype=np.int64)
-            self.leaves = np.zeros(6, dtype=np.int64)
-            self.out = np.zeros(1, dtype=np.uint64)
-            self.walk = kernels.cone_walker(
-                self.fanin0,
-                self.fanin1,
-                self.leaves,
-                self.tables,
-                self.stamp,
-                self.stack,
-                self.out,
-            )
-        return self.walk
-
-    def next_epoch(self) -> int:
-        self.epoch += 1
-        if self.epoch >= 0xFFFFFFFF:
-            self.stamp[:] = 0
-            self.region[:] = 0
-            self.visit[:] = 0
-            self.epoch = 1
-        return self.epoch
-
-    def local_cuts(self, kernels, roots, k, limit, max_region, max_depth):
-        """``[(leaves, table), ...]`` per root from the local-region kernel.
-
-        None when the kernel declines.  Only slot-sized arrays live on the
-        scratch; the region-sized work arrays and the outputs are allocated
-        per call (uninitialized: the kernel writes before it reads), so a
-        snapshot kept alive holds no per-call memory.
-        """
-        slots = self.fanin0.shape[0]
-        # A region holds distinct AND nodes (fewer than ``slots``), the BFS
-        # runs out of frontier within ``slots`` levels and a bound <= 0 means
-        # an empty region, so clamping both bounds to [0, slots + 1] changes
-        # nothing but keeps them in int64.
-        max_region = max(0, min(max_region, slots + 1))
-        max_depth = max(0, min(max_depth, slots + 1))
-        cap = max(1, min(max_region, slots))  # >= any region's size
-        count = len(roots)
-        root_array = np.array(roots, dtype=np.int64)
-        if count and (root_array.min() < 0 or root_array.max() >= slots):
-            raise ValueError("local_cut_tables: roots must be node ids of the snapshot")
-        width = limit + 1
-        work = np.empty(8 * cap + 6, np.int64)
-        store = (
-            np.empty(cap * width * k, np.int64),
-            np.empty(cap * width, np.int64),
-            np.empty(cap * width, np.uint64),
-            np.empty(cap, np.int64),
-        )
-        out_l = np.empty((count, limit, k), np.int64)
-        out_s = np.empty((count, limit), np.int64)
-        out_t = np.empty((count, limit), np.uint64)
-        out_n = np.empty(count, np.int64)
-        args = self.local_args
-        args[9] = self.epoch
-        args[10:12] = [work.ctypes.data, cap]
-        args[12:16] = [array.ctypes.data for array in store]
-        args[16:22] = [root_array.ctypes.data, count, k, limit, max_region, max_depth]
-        args[22:26] = [array.ctypes.data for array in (out_l, out_s, out_t, out_n)]
-        err = kernels.local_cut_tables(args.ctypes.data)
-        self.epoch = int(args[9])
-        if err:  # pragma: no cover - the stack holds every path of a region
-            return None
-        leaves, sizes, tables = out_l.tolist(), out_s.tolist(), out_t.tolist()
-        return [
-            [(tuple(leaves[row][c][: sizes[row][c]]), tables[row][c]) for c in range(n)]
-            for row, n in enumerate(out_n.tolist())
-        ]
-
-
 class NativeBackend(ReferenceBackend):
     """Compiled-kernel and workspace-GNN backend, reference-identical."""
 
@@ -318,12 +177,10 @@ class NativeBackend(ReferenceBackend):
             support = {op: f"{kernels.engine}:{label}" for op, label in _OP_LABELS.items()}
         spmm = "scipy" if _csr_matvecs is not None else "fallback:no-scipy-sparsetools"
         support.update(
-            resub_zero_match="fallback:int-compare",
             csr_aggregate=spmm,
             csr_aggregate_t=spmm + "+cached-transpose",
             sage_layer_fused="workspace-fused",
             sage_layer_backward="workspace-fused",
-            adam_step_fused="fallback:already-allocation-free",
         )
         return support
 
@@ -359,42 +216,6 @@ class NativeBackend(ReferenceBackend):
     # ------------------------------------------------------------------ #
     # Sweep scoring
     # ------------------------------------------------------------------ #
-    @staticmethod
-    def _scratch(view) -> Optional[_ConeScratch]:
-        """The snapshot's compiled-walk scratch (built on first use).
-
-        None for views that are not :class:`~repro.aig.kernels.LevelizedAig`
-        snapshots with node arrays (duck-typed test views): the Python code
-        handles anything with fanin lists.
-        """
-        try:
-            scratch = view._native_scratch
-            fanin_count = len(view._fanin0_list)
-        except AttributeError:
-            return None
-        if scratch is None or scratch.fanin0.shape[0] != fanin_count:
-            if not fanin_count:
-                return None
-            scratch = _ConeScratch(view)
-            view._native_scratch = scratch
-        return scratch
-
-    def cut_table_exact(self, view, root, leaves) -> int:
-        kernels = self._kernels()
-        num_vars = len(leaves)
-        if kernels is None or num_vars > 6:
-            return super().cut_table_exact(view, root, leaves)
-        scratch = self._scratch(view)
-        if scratch is None:
-            return super().cut_table_exact(view, root, leaves)
-        walk = scratch.cone_walk(kernels)
-        leaf_tables, mask = _arity_meta(num_vars)
-        scratch.leaves[:num_vars] = leaves
-        err, value = walk(root, num_vars, leaf_tables, mask, scratch.next_epoch())
-        if err:  # pragma: no cover - requires a >8k-deep reconvergent cone
-            return super().cut_table_exact(view, root, leaves)
-        return value
-
     def local_cut_tables(self, view, roots, k, cuts_per_node, max_region, max_depth):
         """Each root's local-region cuts with their truth tables, or ``None``.
 
@@ -411,10 +232,38 @@ class NativeBackend(ReferenceBackend):
         kernels = self._kernels()
         if kernels is None or not 1 <= k <= 6 or not 1 <= cuts_per_node < 64:
             return None
-        scratch = self._scratch(view)
-        if scratch is None:
+        slots = len(view._fanin0_list)
+        if not slots:
             return None
-        return scratch.local_cuts(kernels, roots, k, cuts_per_node, max_region, max_depth)
+        # A region holds distinct AND nodes (fewer than ``slots``), the BFS
+        # runs out of frontier within ``slots`` levels and a bound <= 0 means
+        # an empty region, so clamping both bounds to [0, slots + 1] changes
+        # nothing but keeps them in int64.
+        max_region = max(0, min(max_region, slots + 1))
+        max_depth = max(0, min(max_depth, slots + 1))
+        count = len(roots)
+        root_array = np.array(roots, dtype=np.int64)
+        if count and (root_array.min() < 0 or root_array.max() >= slots):
+            raise ValueError("local_cut_tables: roots must be node ids of the snapshot")
+        node_arrays = _node_arrays(view)
+        out_l = np.empty((count, cuts_per_node, k), np.int64)
+        out_s = np.empty((count, cuts_per_node), np.int64)
+        out_t = np.empty((count, cuts_per_node), np.uint64)
+        out_n = np.empty(count, np.int64)
+        # The args block's layout is documented in the kernel source.
+        args = np.array(
+            [array.ctypes.data for array in node_arrays]
+            + [slots, root_array.ctypes.data, count, k, cuts_per_node, max_region, max_depth]
+            + [array.ctypes.data for array in (out_l, out_s, out_t, out_n)],
+            dtype=np.int64,
+        )
+        if kernels.local_cut_tables(args.ctypes.data):  # pragma: no cover - out of memory
+            return None
+        leaves, sizes, tables = out_l.tolist(), out_s.tolist(), out_t.tolist()
+        return [
+            [(tuple(leaves[row][c][: sizes[row][c]]), tables[row][c]) for c in range(n)]
+            for row, n in enumerate(out_n.tolist())
+        ]
 
     def snapshot_cut_tables(self, view, k, cuts_per_node):
         """Every AND node's priority cuts with their truth tables, or ``None``.
@@ -500,12 +349,7 @@ class NativeBackend(ReferenceBackend):
                 pairs.extend(chain.from_iterable(fragment.nodes))
                 outputs.append(fragment.output)
             offsets.append(len(pairs) // 2)
-        node_arrays = (
-            np.array(view._fanin0_list, np.int64),
-            np.array(view._fanin1_list, np.int64),
-            np.array(view._is_and_list, np.uint8),
-            np.array(view._ref_counts, np.int64),
-        )
+        node_arrays = _node_arrays(view) + (np.array(view._ref_counts, np.int64),)
         cut_arrays = (
             np.array(roots, np.int64),
             np.ascontiguousarray(leaves, np.int64),

@@ -78,73 +78,6 @@ void bg_simulate_level_step(
     }
 }
 
-/* Exact cone walk: same monotone table fill as the Python reference, with
- * per-call freshness via an epoch-stamped scratch instead of a dict.
- * Returns nonzero when the pending stack would overflow (caller falls
- * back); tables/stamp are num_slots-sized scratch owned by the caller.
- *
- * All operands arrive through one int64 args block (pointers stored as
- * int64, mask as the two's-complement image of its uint64 value): the walk
- * is called tens of thousands of times per sweep and a 13-argument ctypes
- * call costs more than the walk itself, so the Python side keeps a
- * persistent block and only rewrites the four per-call slots.
- *
- * args: [0]=fanin0 [1]=fanin1 [2]=leaves [3]=leaf_tables [4]=tables
- *       [5]=stamp [6]=stack [7]=stack_cap [8]=root [9]=num_leaves
- *       [10]=mask [11]=epoch [12]=out (uint64*, receives the table) */
-int bg_cut_table_exact(const int64_t* args)
-{
-    const int64_t* fanin0 = (const int64_t*)args[0];
-    const int64_t* fanin1 = (const int64_t*)args[1];
-    const int64_t* leaves = (const int64_t*)args[2];
-    const uint64_t* leaf_tables = (const uint64_t*)args[3];
-    uint64_t* tables = (uint64_t*)args[4];
-    uint32_t* stamp = (uint32_t*)args[5];
-    int64_t* stack = (int64_t*)args[6];
-    int64_t stack_cap = args[7];
-    int64_t root = args[8];
-    int64_t num_leaves = args[9];
-    uint64_t mask = (uint64_t)args[10];
-    uint32_t epoch = (uint32_t)args[11];
-    uint64_t* out = (uint64_t*)args[12];
-    tables[0] = 0;
-    stamp[0] = epoch;
-    for (int64_t i = 0; i < num_leaves; i++) {
-        tables[leaves[i]] = leaf_tables[i];
-        stamp[leaves[i]] = epoch;
-    }
-    if (stamp[root] == epoch) {
-        *out = tables[root];
-        return 0;
-    }
-    int64_t sp = 0;
-    stack[sp++] = root;
-    while (sp > 0) {
-        int64_t node = stack[sp - 1];
-        int64_t f0 = fanin0[node];
-        int64_t f1 = fanin1[node];
-        int64_t v0 = f0 >> 1;
-        int64_t v1 = f1 >> 1;
-        int k0 = stamp[v0] == epoch;
-        int k1 = stamp[v1] == epoch;
-        if (k0 && k1) {
-            uint64_t t0 = tables[v0];
-            uint64_t t1 = tables[v1];
-            if (f0 & 1) t0 ^= mask;
-            if (f1 & 1) t1 ^= mask;
-            tables[node] = t0 & t1;
-            stamp[node] = epoch;
-            sp--;
-        } else {
-            if (sp + 2 > stack_cap) return 1;
-            if (!k0) stack[sp++] = v0;
-            if (!k1) stack[sp++] = v1;
-        }
-    }
-    *out = tables[root];
-    return 0;
-}
-
 /* ---- Priority-cut merge ---------------------------------------------- */
 
 #define BG_CUT_CAP 64
@@ -316,11 +249,10 @@ static const uint64_t BG_VAR_TABLES[6] = {
     0xFF00FF00FF00FF00ull, 0xFFFF0000FFFF0000ull, 0xFFFFFFFF00000000ull,
 };
 
-/* The truth table of root over the n leaves of one of its cuts, written to
- * *out: an epoch-stamped cone walk with leaf i as variable i and the
- * constant node set after the leaves, in the order of
- * ReferenceBackend.cut_table_exact.  Returns nonzero when the pending
- * stack would overflow. */
+/* repro.aig.truth.cut_truth_table: the truth table of root over the n
+ * leaves of one of its cuts, written to *out, from an epoch-stamped cone
+ * walk with leaf i as variable i and the constant node set after the
+ * leaves.  Returns nonzero when the pending stack would overflow. */
 static int bg_cut_table(
     const int64_t* fanin0, const int64_t* fanin1, uint64_t* tables,
     uint32_t* stamp, uint32_t t, int64_t* stack, int64_t stack_cap,
@@ -361,19 +293,6 @@ static int bg_cut_table(
     return 0;
 }
 
-/* The next scratch epoch; on wrap-around every stamp array is cleared. */
-static uint32_t bg_next_epoch(
-    int64_t* epoch, uint32_t* stamp, uint32_t* region, uint32_t* visit,
-    int64_t slots)
-{
-    if (*epoch >= 0xFFFFFFFFll - 1) {
-        for (int64_t i = 0; i < slots; i++) stamp[i] = region[i] = visit[i] = 0;
-        *epoch = 0;
-    }
-    *epoch += 1;
-    return (uint32_t)*epoch;
-}
-
 /* The next epoch of per-call stamp arrays (n entries, zeroed on wrap). */
 static uint32_t bg_bump(uint32_t* epoch, uint32_t* stamps, int64_t n)
 {
@@ -395,59 +314,60 @@ static uint32_t bg_bump(uint32_t* epoch, uint32_t* stamps, int64_t n)
  *    cut after the merged ones;
  * 4. per non-trivial cut of the root, bg_cut_table.
  *
- * All operands arrive through one int64 args block (pointers as int64):
- *   [0]=fanin0 [1]=fanin1 (int64 literals per slot) [2]=is_and (uint8)
- *   [3]=tables (uint64) [4]=stamp [5]=region [6]=visit (uint32 per slot)
- *   [7]=local (int64 per slot: position in the region order)
- *   [8]=num_slots [9]=epoch (read and written back)
- *   [10]=work (int64, 8 * cap + 6) [11]=cap (>= the region size)
- *   [12..15]=region cut store: leaves, sizes, sigs, counts (cap rows of
- *            limit + 1 cuts)
- *   [16]=roots [17]=num_roots [18]=k [19]=limit [20]=max_region
- *   [21]=max_depth
- *   [22..25]=output per root: leaves[limit][k], sizes[limit],
- *            tables[limit] (uint64), counts
- * Returns nonzero when a cone walk would overflow its stack (the caller
- * declines); the stack holds every path of the region, so it never does. */
-int bg_local_cut_tables(int64_t* args)
+ * The stamps, tables and work arrays are allocated per call.
+ * args: [0]=fanin0 [1]=fanin1 (int64 literals per slot) [2]=is_and (uint8)
+ *       [3]=num_slots [4]=roots [5]=num_roots [6]=k [7]=limit
+ *       [8]=max_region [9]=max_depth (both within 0..num_slots + 1)
+ *       [10..13]=output per root: leaves[limit][k], sizes[limit],
+ *                tables[limit] (uint64), counts
+ * Returns nonzero when the work arrays cannot be allocated (or, never on a
+ * snapshot, a cone walk outgrows its stack: it holds every path of the
+ * region). */
+int bg_local_cut_tables(const int64_t* args)
 {
     const int64_t* fanin0 = (const int64_t*)args[0];
     const int64_t* fanin1 = (const int64_t*)args[1];
     const uint8_t* is_and = (const uint8_t*)args[2];
-    uint64_t* tables = (uint64_t*)args[3];
-    uint32_t* stamp = (uint32_t*)args[4];
-    uint32_t* region = (uint32_t*)args[5];
-    uint32_t* visit = (uint32_t*)args[6];
-    int64_t* local = (int64_t*)args[7];
-    int64_t slots = args[8];
-    int64_t epoch = args[9];
-    int64_t cap = args[11];
-    int64_t* order = (int64_t*)args[10];
+    int64_t slots = args[3];
+    const int64_t* roots = (const int64_t*)args[4];
+    int64_t num_roots = args[5];
+    int64_t k = args[6];
+    int64_t limit = args[7];
+    int64_t max_region = args[8];
+    int64_t max_depth = args[9];
+    int64_t* out_l = (int64_t*)args[10];
+    int64_t* out_s = (int64_t*)args[11];
+    uint64_t* out_t = (uint64_t*)args[12];
+    int64_t* out_n = (int64_t*)args[13];
+    int64_t width = limit + 1;
+    /* A region holds distinct AND nodes, so cap bounds every region. */
+    int64_t cap = max_region < slots ? max_region : slots;
+    if (cap < 1) cap = 1;
+    uint64_t* tables = malloc(slots * sizeof(uint64_t));
+    uint32_t* marks = calloc(3 * slots, sizeof(uint32_t));
+    int64_t* local = malloc(slots * sizeof(int64_t));
+    /* The work block: the region order (cap), two BFS frontiers
+     * (2 * cap + 2 each) and the walk stack (3 * cap + 2). */
+    int64_t* order = malloc((8 * cap + 6) * sizeof(int64_t));
+    int64_t* store_l = malloc(cap * width * k * sizeof(int64_t));
+    int64_t* store_s = malloc(cap * width * sizeof(int64_t));
+    uint64_t* store_g = malloc(cap * width * sizeof(uint64_t));
+    int64_t* store_n = malloc(cap * sizeof(int64_t));
+    int err = !tables || !marks || !local || !order || !store_l || !store_s
+        || !store_g || !store_n;
+    uint32_t* stamp = marks;
+    uint32_t* region = marks + slots;
+    uint32_t* visit = marks + 2 * slots;
     int64_t* front_a = order + cap;
     int64_t* front_b = front_a + 2 * cap + 2;
     int64_t* stack = front_b + 2 * cap + 2;
     int64_t stack_cap = 3 * cap + 2;
-    int64_t* store_l = (int64_t*)args[12];
-    int64_t* store_s = (int64_t*)args[13];
-    uint64_t* store_g = (uint64_t*)args[14];
-    int64_t* store_n = (int64_t*)args[15];
-    const int64_t* roots = (const int64_t*)args[16];
-    int64_t num_roots = args[17];
-    int64_t k = args[18];
-    int64_t limit = args[19];
-    int64_t max_region = args[20];
-    int64_t max_depth = args[21];
-    int64_t* out_l = (int64_t*)args[22];
-    int64_t* out_s = (int64_t*)args[23];
-    uint64_t* out_t = (uint64_t*)args[24];
-    int64_t* out_n = (int64_t*)args[25];
-    int64_t width = limit + 1;
-    int err = 0;
+    uint32_t epoch = 0;
     for (int64_t r = 0; r < num_roots && !err; r++) {
         int64_t root = roots[r];
         out_n[r] = 0;
         if (!is_and[root]) continue;
-        uint32_t e = bg_next_epoch(&epoch, stamp, region, visit, slots);
+        uint32_t e = bg_bump(&epoch, marks, 3 * slots);
         /* 1. Bounded reverse BFS. */
         int64_t nf = 0, size = 0, depth = 0;
         front_a[nf++] = root;
@@ -534,13 +454,20 @@ int bg_local_cut_tables(int64_t* args)
             int64_t* dst = out_l + (r * limit + c) * k;
             for (int64_t w = 0; w < n; w++) dst[w] = leaves[w];
             out_s[r * limit + c] = n;
-            uint32_t t = bg_next_epoch(&epoch, stamp, region, visit, slots);
+            uint32_t t = bg_bump(&epoch, marks, 3 * slots);
             err = bg_cut_table(fanin0, fanin1, tables, stamp, t, stack, stack_cap,
                                root, leaves, n, out_t + r * limit + c);
             if (err) break;
         }
     }
-    args[9] = epoch;
+    free(tables);
+    free(marks);
+    free(local);
+    free(order);
+    free(store_l);
+    free(store_s);
+    free(store_g);
+    free(store_n);
     return err;
 }
 
@@ -1017,16 +944,6 @@ def find_compiler() -> Optional[str]:
 _BUILD_LOCK = threading.Lock()
 
 
-def _as_signed_word(value: int) -> int:
-    """The int64 two's-complement image of a uint64 value (bit-identical).
-
-    The packed args block of the cone walk is one int64 array; masks like
-    the 6-variable ``2**64 - 1`` exceed int64 range, so they travel as
-    their signed bit pattern and the C side casts straight back.
-    """
-    return value - 0x10000000000000000 if value >= 0x8000000000000000 else value
-
-
 def build_library() -> str:
     """Compile (or reuse) the kernel shared library; returns its path.
 
@@ -1085,8 +1002,6 @@ class CcKernels:
         ptr = ctypes.c_void_p
         lib.bg_simulate_level_step.argtypes = [ptr, i64, ptr, ptr, ptr, ptr, ptr, i64]
         lib.bg_simulate_level_step.restype = None
-        lib.bg_cut_table_exact.argtypes = [ptr]
-        lib.bg_cut_table_exact.restype = ctypes.c_int
         lib.bg_local_cut_tables.argtypes = [ptr]
         lib.bg_local_cut_tables.restype = ctypes.c_int
         lib.bg_snapshot_cut_tables.argtypes = [ptr]
@@ -1103,9 +1018,9 @@ class CcKernels:
         lib.bg_bitmap_mark.restype = None
         self._lib = lib
         # Prebound function objects: the hot wrappers skip two attribute
-        # lookups per call, which matters at cone-walk call rates.
+        # lookups per call, which matters at per-level and per-candidate
+        # call rates.
         self._fn_simulate = lib.bg_simulate_level_step
-        self._fn_cone = lib.bg_cut_table_exact
         self._fn_local_cuts = lib.bg_local_cut_tables
         self._fn_snapshot_cuts = lib.bg_snapshot_cut_tables
         self._fn_rewrite_scan = lib.bg_rewrite_scan
@@ -1127,56 +1042,8 @@ class CcKernels:
             ids.shape[0],
         )
 
-    @staticmethod
-    def _cone_args(fanin0, fanin1, leaves, tables, stamp, stack, out) -> np.ndarray:
-        args = np.zeros(13, np.int64)
-        args[0] = fanin0.ctypes.data
-        args[1] = fanin1.ctypes.data
-        args[2] = leaves.ctypes.data
-        args[4] = tables.ctypes.data
-        args[5] = stamp.ctypes.data
-        args[6] = stack.ctypes.data
-        args[7] = stack.shape[0]
-        args[12] = out.ctypes.data
-        return args
-
-    def cone_walker(self, fanin0, fanin1, leaves, tables, stamp, stack, out):
-        """A closure over ``bg_cut_table_exact`` with every stable pointer
-        pre-resolved into a persistent args block.
-
-        The ``.ctypes`` property allocates an interface object per access
-        and a many-argument ctypes call marshals each operand separately;
-        at ~40k cone walks per sweep that overhead dwarfs the walk itself.
-        So the per-snapshot scratch arrays are resolved to raw pointers
-        exactly once, and each call rewrites only the four per-call slots
-        of the args block.  The caller owns the arrays (and must keep them
-        alive by holding this walker alongside them), fills ``leaves`` in
-        place before each call, and passes the process-cached per-arity
-        leaf-table array with its per-arity mask, both memoised by the
-        array's identity.
-        """
-        fn = self._fn_cone
-        args = self._cone_args(fanin0, fanin1, leaves, tables, stamp, stack, out)
-        args_ptr = args.ctypes.data
-        arity_cache = {}
-
-        def walk(root, num_leaves, leaf_tables, mask, epoch):
-            cached = arity_cache.get(num_leaves)
-            if cached is None or cached[0] is not leaf_tables:
-                cached = (leaf_tables, leaf_tables.ctypes.data, _as_signed_word(mask))
-                arity_cache[num_leaves] = cached
-            args[3] = cached[1]
-            args[8] = root
-            args[9] = num_leaves
-            args[10] = cached[2]
-            args[11] = epoch
-            err = fn(args_ptr)
-            return err, int(out[0])
-
-        return walk
-
     def local_cut_tables(self, args_ptr: int) -> int:
-        """Run ``bg_local_cut_tables`` on a filled args block (nonzero: overflow)."""
+        """Run ``bg_local_cut_tables`` on a filled args block (nonzero: failed)."""
         return self._fn_local_cuts(args_ptr)
 
     def snapshot_cut_tables(self, args_ptr: int) -> int:

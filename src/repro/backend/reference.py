@@ -16,8 +16,6 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Set
 
-import numpy as np
-
 from repro.backend.api import OPS, Backend
 
 try:  # Python >= 3.10: C-level popcount for the resub similarity metric.
@@ -47,56 +45,8 @@ class ReferenceBackend(Backend):
         values[ids] = v0
 
     # ------------------------------------------------------------------ #
-    # Sweep scoring
-    # ------------------------------------------------------------------ #
-    def cut_table_exact(self, view, root, leaves) -> int:
-        from repro.aig.truth import cached_table_var, table_mask
-
-        num_vars = len(leaves)
-        mask = table_mask(num_vars)
-        tables = {leaf: cached_table_var(i, num_vars) for i, leaf in enumerate(leaves)}
-        tables[0] = 0
-        if root in tables:
-            return tables[root]
-        fanin0 = view._fanin0_list
-        fanin1 = view._fanin1_list
-        # Iterative post-order over the cone bounded by the leaves.
-        stack = [(root, False)]
-        visited = set(leaves)
-        visited.add(0)
-        while stack:
-            node, expanded = stack.pop()
-            if expanded:
-                f0 = fanin0[node]
-                f1 = fanin1[node]
-                t0 = tables[f0 >> 1]
-                t1 = tables[f1 >> 1]
-                if f0 & 1:
-                    t0 ^= mask
-                if f1 & 1:
-                    t1 ^= mask
-                tables[node] = t0 & t1
-                continue
-            if node in visited:
-                continue
-            visited.add(node)
-            stack.append((node, True))
-            stack.append((fanin1[node] >> 1, False))
-            stack.append((fanin0[node] >> 1, False))
-        return tables[root]
-
-    # ------------------------------------------------------------------ #
     # Resubstitution matching
     # ------------------------------------------------------------------ #
-    def resub_zero_match(self, divisors, tables, target, mask):
-        for divisor in divisors:
-            table = tables[divisor]
-            if table == target:
-                return divisor, False
-            if table == (target ^ mask):
-                return divisor, True
-        return None
-
     def resub_rank_divisors(self, divisors, tables, target, mask):
         def similarity(divisor: int) -> int:
             table = tables[divisor]
@@ -182,34 +132,3 @@ class ReferenceBackend(Backend):
         grad = dropout.backward(grad)
         grad = activation.backward(grad)
         return conv.backward(grad, input_grad=input_grad, backend=self)
-
-    def adam_step_fused(self, optimizer) -> None:
-        optimizer._step += 1
-        bias_correction1 = 1.0 - optimizer.beta1 ** optimizer._step
-        bias_correction2 = 1.0 - optimizer.beta2 ** optimizer._step
-        for index, parameter in enumerate(optimizer.parameters):
-            grad = parameter.grad
-            if optimizer.weight_decay:
-                grad = grad + optimizer.weight_decay * parameter.value
-            first = optimizer._first_moments[index]
-            second = optimizer._second_moments[index]
-            scratch = optimizer._scratch_a[index]
-            denominator = optimizer._scratch_b[index]
-            # first = beta1 * first + (1 - beta1) * grad
-            first *= optimizer.beta1
-            np.multiply(grad, 1.0 - optimizer.beta1, out=scratch)
-            first += scratch
-            # second = beta2 * second + (1 - beta2) * grad * grad (the factor
-            # order matches the textbook expression so rounding is identical)
-            second *= optimizer.beta2
-            np.multiply(grad, 1.0 - optimizer.beta2, out=scratch)
-            scratch *= grad
-            second += scratch
-            # value -= lr * (first / bc1) / (sqrt(second / bc2) + eps)
-            np.divide(second, bias_correction2, out=denominator)
-            np.sqrt(denominator, out=denominator)
-            denominator += optimizer.eps
-            np.divide(first, bias_correction1, out=scratch)
-            scratch *= optimizer.lr
-            scratch /= denominator
-            parameter.value -= scratch

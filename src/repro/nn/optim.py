@@ -6,7 +6,6 @@ from typing import List, Sequence
 
 import numpy as np
 
-from repro.backend import get_backend
 from repro.nn.layers import Parameter
 
 
@@ -50,13 +49,36 @@ class Adam:
             parameter.zero_grad()
 
     def step(self) -> None:
-        """Apply one Adam update using the currently accumulated gradients.
-
-        The update itself lives in the compute backend
-        (``adam_step_fused``); every backend is gated bit-identical to the
-        reference, so trajectories do not depend on the selection.
-        """
-        get_backend().adam_step_fused(self)
+        """Apply one Adam update using the currently accumulated gradients."""
+        self._step += 1
+        bias_correction1 = 1.0 - self.beta1 ** self._step
+        bias_correction2 = 1.0 - self.beta2 ** self._step
+        for index, parameter in enumerate(self.parameters):
+            grad = parameter.grad
+            if self.weight_decay:
+                grad = grad + self.weight_decay * parameter.value
+            first = self._first_moments[index]
+            second = self._second_moments[index]
+            scratch = self._scratch_a[index]
+            denominator = self._scratch_b[index]
+            # first = beta1 * first + (1 - beta1) * grad
+            first *= self.beta1
+            np.multiply(grad, 1.0 - self.beta1, out=scratch)
+            first += scratch
+            # second = beta2 * second + (1 - beta2) * grad * grad (the factor
+            # order matches the textbook expression so rounding is identical)
+            second *= self.beta2
+            np.multiply(grad, 1.0 - self.beta2, out=scratch)
+            scratch *= grad
+            second += scratch
+            # value -= lr * (first / bc1) / (sqrt(second / bc2) + eps)
+            np.divide(second, bias_correction2, out=denominator)
+            np.sqrt(denominator, out=denominator)
+            denominator += self.eps
+            np.divide(first, bias_correction1, out=scratch)
+            scratch *= self.lr
+            scratch /= denominator
+            parameter.value -= scratch
 
 
 class StepLR:

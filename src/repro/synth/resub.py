@@ -75,23 +75,23 @@ def find_resub_candidate(
     mask = table_mask(num_vars)
     tables = _window_truth_tables(aig, leaves, window)
     target = tables[node]
-    backend = get_backend()
 
     # --- 0-resub: the function already exists in the window. -------------- #
     gain0 = len(deref)
     if gain0 >= params.effective_min_gain():
-        hit = backend.resub_zero_match(divisors, tables, target, mask)
-        if hit is not None:
-            divisor, complemented = hit
-            return _make_candidate(
-                aig, node, leaves, gain0, lit(divisor, complemented), deref,
-                params.effective_min_gain(),
-            )
+        for divisor in divisors:
+            table = tables[divisor]
+            if table == target or table == target ^ mask:
+                return _make_candidate(
+                    aig, node, leaves, gain0, lit(divisor, table != target), deref,
+                    params.effective_min_gain(),
+                )
 
     # --- 1-resub: AND / OR of two (possibly complemented) divisors. ------- #
     if params.max_resub_nodes < 1:
         return None
     gain1 = len(deref) - 1
+    backend = get_backend()
     ranked = backend.resub_rank_divisors(divisors, tables, target, mask)[
         : params.max_divisors
     ]
@@ -278,35 +278,6 @@ def _window_truth_tables(
             t1 ^= mask
         tables[current] = t0 & t1
     return tables
-
-
-def _rank_divisors(
-    divisors: Sequence[int], tables: Dict[int, int], target: int, mask: int
-) -> List[int]:
-    """Order divisors by how similar their signature is to the target function."""
-
-    def similarity(divisor: int) -> int:
-        table = tables[divisor]
-        agreement = bin((table ^ target) & mask).count("1")
-        return min(agreement, bin(table ^ target ^ mask).count("1"))
-
-    return sorted(divisors, key=similarity)
-
-
-def _match_pair(
-    target: int, table_a: int, table_b: int, mask: int
-) -> Optional[Tuple[bool, bool, bool]]:
-    """Find complementations such that ``target == maybe_not(AND(±a, ±b))``."""
-    for compl_a in (False, True):
-        ta = table_a ^ mask if compl_a else table_a
-        for compl_b in (False, True):
-            tb = table_b ^ mask if compl_b else table_b
-            conjunction = ta & tb
-            if conjunction == target:
-                return compl_a, compl_b, False
-            if (conjunction ^ mask) == target:
-                return compl_a, compl_b, True
-    return None
 
 
 def _resub_regain(node: int, leaves: Tuple[int, ...], adds: int):

@@ -94,11 +94,11 @@ def evaluate_rewrite_cut(
 ) -> Optional[TransformCandidate]:
     """Score one cut of ``node`` given its precomputed truth ``table``.
 
-    This is the shared core of the sequential per-node finder (which computes
-    the table with a scalar cone walk) and the batched sweep scorer (which
-    takes it from the backend: the exact cone walk per evaluated cut of the
-    global enumeration, or, for small target sets, the native backend's
-    compiled local-region op, which returns every local cut with its table).
+    This is the shared core of the sequential per-node finder and the
+    batched sweep scorer's Python loop over the global enumeration (both
+    compute the table with :func:`~repro.aig.truth.cut_truth_table`) and of
+    its small-target branch (which, on the native backend, takes every local
+    cut with its table from the compiled local-region op).
     The native backend's compiled global scan replays this function per cut
     and builds its winners' candidates with :func:`rewrite_candidate`.
     ``deref`` optionally supplies a precomputed MFFC.

@@ -10,13 +10,13 @@ with the number of accepted transformations.
 This module restructures the passes into two phases per *sweep*:
 
 1. **Score** — candidates for *all* nodes are computed against one frozen
-   :class:`~repro.aig.kernels.LevelizedAig` snapshot.  Rewriting uses one
-   vectorized full-network cut enumeration and computes cut truth tables
-   lazily with the exact cone walk, only for the cuts it evaluates; a small
-   target set (a rescore sweep) is scored over each node's bounded
-   local-region cuts instead, which the native backend enumerates with
-   their truth tables in one compiled call.  Refactoring and
-   resubstitution run their per-node finders against the
+   :class:`~repro.aig.kernels.LevelizedAig` snapshot.  Rewriting scans the
+   cuts of one full-network enumeration, in two compiled calls on the native
+   backend and otherwise in a Python loop that computes truth tables only
+   for the cuts it evaluates; a small target set (a rescore sweep) is scored
+   over each node's bounded local-region cuts instead, which the native
+   backend enumerates with their truth tables in one compiled call.
+   Refactoring and resubstitution run their per-node finders against the
    frozen network, where levels, fanout arrays and the topological order are
    computed exactly once.
 
@@ -39,7 +39,7 @@ the input network holds by construction; the test-suite additionally checks
 batched-vs-sequential equivalence and node-count monotonicity on randomized
 networks and on every registered benchmark.
 
-All numeric inner loops — cut enumeration, the exact cone walk, resub
+The numeric inner loops — cut enumeration, the rewrite scan, resub
 matching, the conflict screen of the commit phase — dispatch through the
 selected compute backend (:mod:`repro.backend`), so the same sweep code runs
 on the pure numpy reference or on the native backend's compiled loops; the
@@ -58,6 +58,7 @@ from repro.aig.aig import Aig
 from repro.aig.cuts import CutEnumerator
 from repro.aig.kernels import LevelizedAig, cached_topological_order, expand_region, levelized
 from repro.aig.simulate import random_patterns
+from repro.aig.truth import cut_truth_table
 from repro.backend import get_backend
 from repro.obs.trace import TRACER
 from repro.synth.candidates import TransformCandidate
@@ -146,10 +147,12 @@ def score_rewrites(
     backend the whole branch is two compiled calls (see
     :func:`_score_compiled`): one enumerates every cut with its truth table
     — in C a cone walk per cut costs less than deciding which cuts the scan
-    will reach — and one runs the scan.  Elsewhere the Python loop below
-    computes truth tables lazily with the backend's exact cone walk, only
-    for the cuts the MFFC-sorted scan evaluates.  ``table`` memoizes the
-    small-target scoring only.
+    will reach — and one runs the scan.  Elsewhere (no compiled engine, more
+    than 6 leaves per cut, or 64 or more cuts per node) the Python loop
+    below computes truth tables with
+    :func:`~repro.aig.truth.cut_truth_table`, only for the cuts the
+    MFFC-sorted scan evaluates.  ``table`` memoizes the small-target scoring
+    only.
     """
     del sweep_params
     params = params or RewriteParams()
@@ -185,12 +188,11 @@ def score_rewrites(
         for deref, cut in scored:
             if best is not None and len(deref) <= best.gain:
                 break
-            truth = backend.cut_table_exact(view, node, cut.leaves)
             candidate = evaluate_rewrite_cut(
                 aig,
                 node,
                 list(cut.leaves),
-                truth,
+                cut_truth_table(aig, node, cut.leaves),
                 library,
                 params,
                 deref=deref,

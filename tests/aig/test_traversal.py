@@ -1,8 +1,6 @@
-"""Tests for topological order, cones and traversal helpers."""
+"""Tests for the network's traversals: topological order and transitive cones."""
 
-from repro.aig.aig import Aig
 from repro.aig.literals import lit_var
-from repro.aig.traversal import cone_nodes, collect_tfo_set, reference_counts, support
 
 
 def test_topological_order_respects_dependencies(medium_random_aig):
@@ -24,53 +22,3 @@ def test_transitive_fanin_and_fanout(tiny_aig):
     pi = tiny_aig.pis()[0]
     tfo = tiny_aig.transitive_fanout(pi)
     assert pos_driver in tfo
-
-
-def test_cone_nodes_bounded_by_leaves():
-    aig = Aig()
-    a, b, c, d = (aig.add_pi() for _ in range(4))
-    g1 = aig.add_and(a, b)
-    g2 = aig.add_and(c, d)
-    g3 = aig.add_and(g1, g2)
-    aig.add_po(g3)
-    root = lit_var(g3)
-    full_cone = cone_nodes(aig, root, [lit_var(x) for x in (a, b, c, d)])
-    assert set(full_cone) == {lit_var(g1), lit_var(g2), root}
-    bounded = cone_nodes(aig, root, [lit_var(g1), lit_var(g2)])
-    assert bounded == [root]
-
-
-def test_cone_nodes_is_topological(medium_random_aig):
-    root = medium_random_aig.topological_order()[-1]
-    leaves = medium_random_aig.pis()
-    cone = cone_nodes(medium_random_aig, root, leaves)
-    position = {node: index for index, node in enumerate(cone)}
-    for node in cone:
-        for fanin in medium_random_aig.fanins(node):
-            fanin_node = lit_var(fanin)
-            if fanin_node in position:
-                assert position[fanin_node] < position[node]
-
-
-def test_support_returns_pis(tiny_aig):
-    pos_driver = lit_var(tiny_aig.pos()[0])
-    pis = support(tiny_aig, pos_driver)
-    assert pis == set(tiny_aig.pis())
-
-
-def test_support_of_pi_is_itself(tiny_aig):
-    pi = tiny_aig.pis()[1]
-    assert support(tiny_aig, pi) == {pi}
-
-
-def test_reference_counts_match_fanouts(tiny_aig):
-    counts = reference_counts(tiny_aig)
-    for node, count in counts.items():
-        assert count == tiny_aig.fanout_count(node)
-
-
-def test_collect_tfo_set(tiny_aig):
-    pi = tiny_aig.pis()[0]
-    tfo = collect_tfo_set(tiny_aig, [pi])
-    assert pi in tfo
-    assert len(tfo) >= 3  # both ANDs and the OR node depend on x

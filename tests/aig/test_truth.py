@@ -123,6 +123,14 @@ def test_cut_truth_table_requires_covering_cut():
         cut_truth_table(aig, lit_var(g), [lit_var(x)])
 
 
+def test_cut_truth_table_rejects_a_pi_root_outside_the_leaves():
+    aig = Aig()
+    x, y = aig.add_pi(), aig.add_pi()
+    aig.add_po(aig.add_and(x, y))
+    with pytest.raises(ValueError):
+        cut_truth_table(aig, lit_var(x), [lit_var(y)])
+
+
 def test_cut_truth_tables_multiple_roots():
     aig = Aig()
     x, y = aig.add_pi(), aig.add_pi()

@@ -130,33 +130,6 @@ def test_op_matches_local_cuts_after_rewriting(design):
         _assert_matches_local_cuts(aig, setting)
 
 
-def test_op_survives_epoch_wraparound():
-    # The kernel and the cone walk share one epoch-stamped scratch.  Stamps
-    # left from before a wrap-around carry the epochs the wrap hands out
-    # again, so whichever side wraps must clear every stamp array.
-    _engine_or_skip()
-    aig = load_benchmark("b08")
-    view = _snapshot(aig)
-    backend = NativeBackend()
-    roots = list(aig.nodes())
-    expected = _expected(aig, roots, SETTINGS[0])
-    assert backend.local_cut_tables(view, roots, *SETTINGS[0]) == expected
-    scratch = view._native_scratch
-
-    def stale(value, epoch):
-        for stamps in (scratch.stamp, scratch.region, scratch.visit):
-            stamps[:] = value
-        scratch.epoch = epoch
-
-    stale(1, 0xFFFFFFFF - 1)  # the kernel wraps at its first root
-    assert backend.local_cut_tables(view, roots, *SETTINGS[0]) == expected
-    assert scratch.epoch < 0xFFFF
-    stale(2, 0xFFFFFFFF - 1)  # the cone walk wraps, then the kernel runs
-    leaves, table = expected[-1][0]
-    assert backend.cut_table_exact(view, roots[-1], leaves) == table
-    assert backend.local_cut_tables(view, roots, *SETTINGS[0]) == expected
-
-
 def test_op_accepts_the_widest_tables_and_the_cut_cap():
     _engine_or_skip()
     aig = random_aig(RandomAigSpec(num_pis=7, num_pos=2, num_ands=70, seed=3))

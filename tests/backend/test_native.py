@@ -96,6 +96,13 @@ def test_no_engine_reports_fallback_support(no_engine):
         assert support[op] == "fallback:reference(engines-unavailable)"
 
 
+def test_native_overrides_every_protocol_op():
+    # The protocol lists only ops with a native implementation, so the
+    # reference code serves an op only when the native one degrades.
+    for op in OPS:
+        assert getattr(NativeBackend, op) is not getattr(ReferenceBackend, op), op
+
+
 def test_degraded_native_script_runs_reference_code(degraded_native, monkeypatch):
     from repro.engine import Engine
     from repro.io.aiger import aiger_ascii
@@ -159,16 +166,6 @@ def test_no_engine_ops_identical_bytes(no_engine):
     from repro.aig.kernels import levelized
 
     view = levelized(aig)
-    view.ensure_node_arrays(aig)
-    reference = ReferenceBackend()
-    cuts = CutEnumerator(k=4, cuts_per_node=8).enumerate(aig)
-    for node, node_cuts in cuts.items():
-        for cut in node_cuts:
-            if cut.is_trivial() or cut.size < 2:
-                continue
-            assert no_engine.cut_table_exact(view, node, cut.leaves) == (
-                reference.cut_table_exact(view, node, cut.leaves)
-            )
     values = expected.copy()
     for ids, f0v, f0m, f1v, f1m in view._level_ops:
         no_engine.simulate_level_step(values, ids, f0v, f0m, f1v, f1m)
@@ -209,6 +206,15 @@ def test_engine_labels_ops_when_available():
     assert backend.engine_name() == kernels.engine
     assert support["sweep_commit"] == f"{kernels.engine}:bitmap-conflict-screen"
     assert support["snapshot_cut_tables"] == f"{kernels.engine}:whole-snapshot-cuts"
+
+
+def test_engine_leaves_no_op_on_fallback():
+    # With the engine loaded, a "fallback:" label would mean an op that a
+    # healthy install still serves from the reference code.
+    _engine_or_skip()
+    support = NativeBackend().op_support()
+    assert set(support) >= set(OPS)
+    assert [op for op, label in support.items() if label.startswith("fallback:")] == []
 
 
 # k=6 exercises the signed full mask, k=8 the cuts enumerated without tables.
@@ -261,7 +267,7 @@ def test_auto_is_native_without_a_compiler(fresh_cache, monkeypatch):
     assert create_backend("auto").name == "native"
     backend = NativeBackend()
     assert backend.engine_name() is None
-    assert backend.op_support()["cut_table_exact"] == "fallback:reference(cc: RuntimeError)"
+    assert backend.op_support()["sweep_commit"] == "fallback:reference(cc: RuntimeError)"
 
 
 def test_cc_cache_artifact_created_and_reused(fresh_cache, monkeypatch):

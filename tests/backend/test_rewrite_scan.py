@@ -272,6 +272,19 @@ def test_early_break_equals_scan_of_every_cut_on_benchmarks(design, zero_cost):
             assert _keys(sweep.score_rewrites(aig, None, params)) == expected
 
 
+@pytest.mark.parametrize("design", ["b08", "c880"])
+@pytest.mark.parametrize("setting", DECLINED)
+def test_early_break_equals_scan_of_every_cut_on_declined_settings(design, setting):
+    # The settings the compiled scan declines run the Python loop under
+    # both backends; the scan of every cut is its oracle.
+    params = _params(*setting)
+    aig = load_benchmark(design).copy()
+    expected = _keys(_scan_every_cut(aig, params))
+    for backend_name in ("reference", "native"):
+        with use_backend(backend_name):
+            assert _keys(sweep.score_rewrites(aig, None, params)) == expected
+
+
 @pytest.mark.parametrize("zero_cost", [False, True])
 @settings(max_examples=15, deadline=None)
 @given(spec=aig_specs)

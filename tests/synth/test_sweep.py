@@ -202,7 +202,7 @@ def test_mutation_journal_nesting_rejected():
 
 
 # --------------------------------------------------------------------------- #
-# Kernel hooks: fanout/MFFC arrays, dirty-cone check, region expansion
+# Kernel hooks: fanout/MFFC arrays, region expansion
 # --------------------------------------------------------------------------- #
 def test_snapshot_mffc_matches_reference():
     aig = _random(31, num_ands=180)
@@ -212,19 +212,6 @@ def test_snapshot_mffc_matches_reference():
         assert view.mffc_nodes(node) == mffc_nodes(aig, node)
         fanins = [f >> 1 for f in aig.fanins(node)]
         assert view.mffc_nodes(node, fanins) == mffc_nodes(aig, node, fanins)
-
-
-def test_snapshot_dirty_cone_detects_cone_membership():
-    aig = _random(37, num_ands=120)
-    view = levelized(aig)
-    view.ensure_node_arrays(aig)
-    node = max(aig.nodes(), key=lambda n: aig.level(n))
-    cone = view.cone_set(node, [])
-    assert node in cone
-    inner = next(iter(cone))
-    assert view.dirty_cone(node, [], {inner})
-    free_slot = aig.num_nodes() + 100  # an id that cannot be in any cone
-    assert not view.dirty_cone(node, [], {free_slot})
 
 
 def test_snapshot_node_arrays_require_fresh_version():
