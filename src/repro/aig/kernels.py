@@ -26,6 +26,7 @@ parallel evaluator for byte-identical results) untouched.
 from __future__ import annotations
 
 import weakref
+from itertools import chain
 from typing import TYPE_CHECKING, List, Tuple
 
 import numpy as np
@@ -118,6 +119,7 @@ class LevelizedAig:
         "_fanin1_list",
         "_is_and_list",
         "_ref_counts",
+        "_fanout_order",
     )
 
     def __init__(self, aig: "Aig") -> None:
@@ -189,6 +191,8 @@ class LevelizedAig:
         self._fanin1_list: List[int] = []
         self._is_and_list: List[bool] = []
         self._ref_counts: List[int] = []
+        # Lazily built by fanout_order().
+        self._fanout_order = None
         pos = aig.pos()
         self.po_vars = np.array([lit_var(d) for d in pos], dtype=np.int64)
         self.po_masks = np.array(
@@ -296,6 +300,28 @@ class LevelizedAig:
             len(fanouts) + po_refs[node]
             for node, fanouts in enumerate(aig._fanouts)
         ]
+
+    def fanout_order(self, aig: "Aig") -> Tuple[np.ndarray, np.ndarray]:
+        """Every slot's fanouts in the iteration order of its fanout set.
+
+        ``(offsets, ids)`` in CSR form: node ``n``'s fanouts are
+        ``ids[offsets[n]:offsets[n + 1]]``, in the order ``Aig.fanouts(n)``
+        yields them, which decides the window walk of resubstitution.
+        Computed once per snapshot; ``aig`` must be the network this view was
+        built from, still at the snapshot version.
+        """
+        if self._fanout_order is None:
+            if aig.modification_count != self.version:
+                raise RuntimeError(
+                    "LevelizedAig.fanout_order: network has been modified "
+                    "since this snapshot was built"
+                )
+            fanouts = aig._fanouts
+            offsets = np.zeros(len(fanouts) + 1, dtype=np.int64)
+            np.cumsum([len(nodes) for nodes in fanouts], out=offsets[1:])
+            ids = np.fromiter(chain.from_iterable(fanouts), np.int64, int(offsets[-1]))
+            self._fanout_order = (offsets, ids)
+        return self._fanout_order
 
     def mffc_nodes(self, root: int, leaves=()) -> set:
         """Array-backed maximum fanout-free cone of ``root`` bounded by ``leaves``.

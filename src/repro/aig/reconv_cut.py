@@ -69,7 +69,4 @@ def reconvergence_driven_cut(
             if fanin != 0:
                 leaves.add(fanin)
                 visited.add(fanin)
-        if best_cost is not None and best_cost <= -1 and len(leaves) >= max_leaves:
-            # Keep accepting free (reconvergent) expansions even at the limit.
-            continue
     return sorted(leaves)

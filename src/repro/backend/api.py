@@ -18,8 +18,6 @@ Op vocabulary
 ===========================  =================================================
 ``simulate_level_step``      one CSR level of uint64 AND/complement
                              propagation (:meth:`LevelizedAig.simulate`)
-``resub_rank_divisors``      similarity ranking of resub divisors
-``resub_one_match``          1-resub AND/OR pair search over ranked divisors
 ``sweep_commit``             apply a batch of footprint-disjoint rewrites in
                              one journalled mutation sweep
 ``csr_aggregate``            sparse aggregation ``A @ X`` (GraphSAGE mean)
@@ -27,6 +25,24 @@ Op vocabulary
 ``sage_layer_fused``         fused affine + ReLU6 + dropout of one GraphSAGE
                              block (forward)
 ``sage_layer_backward``      the matching fused backward step
+===========================  =================================================
+
+Beyond the vocabulary, the native backend offers *capability* ops that
+replace whole Python loops of the sweep scorers.  Callers feature-detect
+them with ``getattr`` and run the Python loop when one is missing or returns
+``None``; the test-suite holds each to that loop:
+
+===========================  =================================================
+``snapshot_cut_tables``      every priority cut of a snapshot with its truth
+                             table (global rewrite scoring, cut enumeration)
+``rewrite_scan``             the MFFC-ordered fragment dry-run scan (global
+                             rewrite scoring and refactor scoring)
+``local_cut_tables``         local-region cuts with their truth tables
+                             (rewrite rescoring and the analysis)
+``refactor_cut_tables``      reconvergence-driven cuts with their truth
+                             tables (refactor scoring)
+``resub_scan``               the windowed 0/1/2-resub matching (resub
+                             scoring)
 ===========================  =================================================
 
 Selection is handled by :mod:`repro.backend.registry`
@@ -45,8 +61,6 @@ import numpy as np
 #: can see which ops an implementation accelerates and which fell back.
 OPS: Tuple[str, ...] = (
     "simulate_level_step",
-    "resub_rank_divisors",
-    "resub_one_match",
     "sweep_commit",
     "csr_aggregate",
     "csr_aggregate_t",
@@ -90,35 +104,6 @@ class Backend:
         f1m: np.ndarray,
     ) -> None:
         """Propagate one CSR level in place: ``values[ids] = (values[f0v] ^ f0m) & (values[f1v] ^ f1m)``."""
-        raise NotImplementedError
-
-    # ------------------------------------------------------------------ #
-    # Resubstitution matching
-    # ------------------------------------------------------------------ #
-    def resub_rank_divisors(
-        self,
-        divisors: Sequence[int],
-        tables: Dict[int, int],
-        target: int,
-        mask: int,
-    ) -> List[int]:
-        """Divisors stably ordered by signature similarity to the target."""
-        raise NotImplementedError
-
-    def resub_one_match(
-        self,
-        ranked: Sequence[int],
-        tables: Dict[int, int],
-        target: int,
-        mask: int,
-    ) -> Optional[Tuple[int, int, bool, bool, bool]]:
-        """First ``target == maybe_not(AND(±a, ±b))`` pair over ranked divisors.
-
-        Pair order is ``(i, j > i)`` row-major over ``ranked``; per pair the
-        complement combinations are tried in the reference order
-        ``(a, b) in FF, FT, TF, TT``, direct before complemented output.
-        Returns ``(first, second, compl_a, compl_b, compl_out)``.
-        """
         raise NotImplementedError
 
     # ------------------------------------------------------------------ #

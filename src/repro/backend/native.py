@@ -3,15 +3,17 @@
 The one fast backend, layered directly on :class:`ReferenceBackend`.  It
 overrides two groups of ops:
 
-* **Compiled integer loops** — the fused level-step simulation, resub
-  similarity ranking and the 8-combo one-match scan, and the sweep-commit
-  conflict screen: the ops whose remaining cost is Python loop overhead.
-  Three capability ops go further, replacing whole Python loops: the
-  whole-snapshot priority cuts with their truth tables and the
-  MFFC-ordered fragment dry-run scan of global rewrite scoring, and the
-  local-region cuts (with their truth tables) of small rescore sets.
-  They run in :mod:`repro.backend.native_kernels`, a small C source built
-  once with the system compiler into a shared library loaded via ctypes.
+* **Compiled integer loops** — the fused level-step simulation and the
+  sweep-commit conflict screen: the ops whose remaining cost is Python loop
+  overhead.  Five capability ops go further, replacing whole Python loops
+  of the sweep scorers: the whole-snapshot priority cuts with their truth
+  tables and the MFFC-ordered fragment dry-run scan of global rewrite
+  scoring (the scan also serves refactoring), the local-region cuts (with
+  their truth tables) of small rescore sets, the reconvergence-driven cuts
+  with their truth tables of refactoring, and the windowed resubstitution
+  scan.  They run in :mod:`repro.backend.native_kernels`, a small C source
+  built once with the system compiler into a shared library loaded via
+  ctypes.
 * **GNN float ops** — the GraphSAGE aggregation ``A @ X`` and its
   transposed backward product go straight to scipy's raw ``csr_matvecs`` on
   cached CSR (and cached transposed-CSR) arrays, and the fused GraphSAGE
@@ -25,17 +27,18 @@ overrides two groups of ops:
   a second thread pool to compete with numpy's.
 
 Degradation is **per op**: when the library (or scipy's raw kernel) is
-missing, an input is under a profitability threshold, or an array fails the
-layout checks, the op takes the inherited reference code.  The compiled
-kernels are exact integer arithmetic in the reference's statement order, so
-byte identity holds by construction and is enforced by ``tests/backend``.
+missing or an array fails the layout checks, the op takes the inherited
+reference code, and a capability op returns ``None``, which sends its caller
+to the Python loop it replaces.  The compiled kernels are exact integer
+arithmetic in the decision order of the code they replay, so byte identity
+holds by construction and is enforced by ``tests/backend``.
 """
 
 from __future__ import annotations
 
 import threading
 from itertools import chain
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -51,20 +54,18 @@ except Exception:  # pragma: no cover - exercised only without scipy
     _csr_matvecs = None
 
 
-_UINT64_MASK = (1 << 64) - 1
-
-#: Below this many divisors the reference wins: its scalar loops early-exit
-#: without the table-packing overhead the compiled scan needs.  Parity-gated
-#: identical either way.
-_NATIVE_RESUB_MIN = 8
+#: The window ops' limit on ``max_leaves`` (``BG_WINDOW_LEAVES`` in the
+#: kernel source).  A reconvergence-driven cut can end two leaves above its
+#: limit, so their truth tables span at most 14 variables (256 words).
+_WINDOW_LEAVES = 12
 
 _OP_LABELS = {
     "simulate_level_step": "fused-level-loop",
     "snapshot_cut_tables": "whole-snapshot-cuts",
     "rewrite_scan": "mffc-ordered-dry-run",
     "local_cut_tables": "local-region-cuts",
-    "resub_rank_divisors": "popcount-similarity",
-    "resub_one_match": "8-combo-scan",
+    "refactor_cut_tables": "reconvergent-cut-tables",
+    "resub_scan": "window-resub-scan",
     "sweep_commit": "bitmap-conflict-screen",
 }
 
@@ -76,6 +77,19 @@ def _node_arrays(view) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         np.array(view._fanin1_list, np.int64),
         np.array(view._is_and_list, np.uint8),
     )
+
+
+def _table_words(num_vars: int) -> int:
+    """The 64-bit words of a truth table over ``num_vars`` variables."""
+    return 1 if num_vars <= 6 else 1 << (num_vars - 6)
+
+
+def _root_array(roots, slots: int, op: str) -> np.ndarray:
+    """``roots`` as int64, or ``ValueError`` unless each is a node id."""
+    array = np.array(roots, dtype=np.int64)
+    if array.size and (array.min() < 0 or array.max() >= slots):
+        raise ValueError(f"{op}: roots must be node ids of the snapshot")
+    return array
 
 
 def _check_scan_inputs(slots, roots, leaves, sizes, counts, fragment_of, num_fragments) -> None:
@@ -241,10 +255,8 @@ class NativeBackend(ReferenceBackend):
         # nothing but keeps them in int64.
         max_region = max(0, min(max_region, slots + 1))
         max_depth = max(0, min(max_depth, slots + 1))
-        count = len(roots)
-        root_array = np.array(roots, dtype=np.int64)
-        if count and (root_array.min() < 0 or root_array.max() >= slots):
-            raise ValueError("local_cut_tables: roots must be node ids of the snapshot")
+        root_array = _root_array(roots, slots, "local_cut_tables")
+        count = root_array.shape[0]
         node_arrays = _node_arrays(view)
         out_l = np.empty((count, cuts_per_node, k), np.int64)
         out_s = np.empty((count, cuts_per_node), np.int64)
@@ -394,65 +406,163 @@ class NativeBackend(ReferenceBackend):
                              nodes[middle:middle + reused[row]])
         return best, [(row, at) for row, at in enumerate(pending) if at >= 0]
 
-    # ------------------------------------------------------------------ #
-    # Resubstitution matching
-    # ------------------------------------------------------------------ #
-    @staticmethod
-    def _pack_tables(ids: Sequence[int], tables: Dict[int, int], words: int) -> np.ndarray:
-        packed = np.empty((len(ids), words), dtype=np.uint64)
-        if words == 1:
-            for row, divisor in enumerate(ids):
-                packed[row, 0] = tables[divisor]
-        else:
-            for row, divisor in enumerate(ids):
-                table = tables[divisor]
-                for word in range(words):
-                    packed[row, word] = (table >> (64 * word)) & _UINT64_MASK
-        return packed
+    def refactor_cut_tables(self, view, roots, max_leaves, min_cone_size):
+        """Each root's refactoring cut with its truth table, or ``None``.
 
-    @staticmethod
-    def _pack_scalar(value: int, words: int) -> np.ndarray:
-        return np.array(
-            [(value >> (64 * word)) & _UINT64_MASK for word in range(words)],
-            dtype=np.uint64,
-        )
-
-    def resub_rank_divisors(self, divisors, tables, target, mask):
+        Capability beyond the portable op vocabulary, feature-detected by
+        :func:`repro.synth.sweep.score_refactors`: for every root of
+        ``roots``, the reconvergence-driven cut of
+        :func:`repro.synth.refactor.find_refactor_candidate` with the
+        :func:`repro.aig.truth.cut_truth_table` of the root over it, from one
+        compiled call on the frozen snapshot ``view`` (node arrays ensured).
+        Returns ``(leaves, sizes, tables)``: root ``i``'s cut is
+        ``leaves[i, :sizes[i]]`` and its table the int ``tables[i]``;
+        ``sizes[i]`` is 0 and ``tables[i]`` ``None`` where the finder stops
+        before its dry run (a cut of fewer than two leaves, or an MFFC below
+        ``min_cone_size``).  ``None`` — no compiled engine, ``max_leaves``
+        above 12 or no node arrays — sends the caller to the finder.
+        """
         kernels = self._kernels()
-        count = len(divisors)
-        if kernels is None or count < _NATIVE_RESUB_MIN or mask <= 0:
-            return super().resub_rank_divisors(divisors, tables, target, mask)
-        words = (mask.bit_length() + 63) // 64
-        similarity = kernels.resub_similarity(
-            self._pack_tables(divisors, tables, words),
-            self._pack_scalar(target, words),
-            self._pack_scalar(mask, words),
-        )
-        # Stable argsort == the reference's stable sorted(key=similarity).
-        order = np.argsort(similarity, kind="stable")
-        return [divisors[i] for i in order]
-
-    def resub_one_match(self, ranked, tables, target, mask):
-        kernels = self._kernels()
-        count = len(ranked)
-        if kernels is None or count < _NATIVE_RESUB_MIN or mask <= 0:
-            return super().resub_one_match(ranked, tables, target, mask)
-        words = (mask.bit_length() + 63) // 64
-        found = kernels.resub_one_match(
-            self._pack_tables(ranked, tables, words),
-            self._pack_scalar(target, words),
-            self._pack_scalar(mask, words),
-        )
-        if found is None:
+        if kernels is None or max_leaves > _WINDOW_LEAVES or not getattr(view, "_ref_counts", None):
             return None
-        i, j, combo = found
-        return (
-            ranked[i],
-            ranked[j],
-            bool(combo & 4),
-            bool(combo & 2),
-            bool(combo & 1),
+        slots = len(view._ref_counts)
+        root_array = _root_array(roots, slots, "refactor_cut_tables")
+        count = root_array.shape[0]
+        # Below -1 no cut expands and an MFFC holds 1..slots nodes, so the
+        # clamps change nothing but keep both bounds in int64.
+        max_leaves = max(max_leaves, -1)
+        min_cone_size = max(0, min(min_cone_size, slots + 1))
+        stride = max(max_leaves, 0) + 2
+        out_l = np.empty((count, stride), np.int64)
+        out_n = np.empty(count, np.int64)
+        out_t = np.empty((count, _table_words(stride)), np.uint64)
+        node_arrays = _node_arrays(view) + (np.array(view._ref_counts, np.int64),)
+        # The args block's layout is documented in the kernel source.
+        args = np.array(
+            [array.ctypes.data for array in node_arrays]
+            + [slots, root_array.ctypes.data, count, max_leaves, min_cone_size]
+            + [array.ctypes.data for array in (out_l, out_n, out_t)],
+            dtype=np.int64,
         )
+        if kernels.refactor_cut_tables(args.ctypes.data):  # pragma: no cover - out of memory
+            return None
+        words = out_t.astype("<u8", copy=False)
+        tables = [
+            int.from_bytes(words[row, : _table_words(size)].tobytes(), "little") if size else None
+            for row, size in enumerate(out_n.tolist())
+        ]
+        return out_l, out_n, tables
+
+    def resub_scan(self, view, fanouts, roots, max_leaves, max_window, max_divisors,
+                   max_divisors_two_resub, max_resub_nodes, min_gain, orders=None):
+        """Each root's resubstitution, or ``None``.
+
+        Capability beyond the portable op vocabulary, feature-detected by
+        :func:`repro.synth.sweep.score_resubs`: for every root of ``roots``,
+        :func:`repro.synth.resub.find_resub_candidate` with the given
+        :class:`~repro.synth.resub.ResubParams` fields (``min_gain`` the
+        effective one), replayed in one compiled call on the frozen snapshot
+        ``view`` (node arrays ensured).  ``fanouts`` is the snapshot's
+        :meth:`~repro.aig.kernels.LevelizedAig.fanout_order`, the order of
+        the window walk.  The finder takes its divisors in the iteration
+        order of its window set, which only Python reproduces; ``orders``
+        gives, per root, that set's nodes in iteration order.
+
+        Returns ``(found, pending)``.  ``found`` holds per root ``None`` (no
+        candidate) or ``(leaves, mffc, divisors, complements,
+        output_complement)``, the arguments of
+        :func:`repro.synth.resub.resub_candidate`.  Without ``orders``,
+        ``pending`` lists ``(row, leaves, window)`` for each root whose
+        candidate depends on the divisor order (its ``found`` entry is
+        ``None``), the window in insertion order; scan those roots again
+        with their orders.  ``None`` — no compiled engine, ``max_leaves``
+        above 12, a negative divisor limit or no node arrays — sends the
+        caller to the finder.
+        """
+        kernels = self._kernels()
+        if (
+            kernels is None
+            or max_leaves > _WINDOW_LEAVES
+            or min(max_divisors, max_divisors_two_resub) < 0
+            or not getattr(view, "_ref_counts", None)
+        ):
+            return None
+        slots = len(view._ref_counts)
+        root_array = _root_array(roots, slots, "resub_scan")
+        count = root_array.shape[0]
+        fanout_offsets, fanout_ids = (np.ascontiguousarray(array, np.int64) for array in fanouts)
+        if (
+            fanout_offsets.shape != (slots + 1,)
+            or fanout_offsets[0] != 0
+            or fanout_offsets[-1] != fanout_ids.shape[0]
+            or (np.diff(fanout_offsets) < 0).any()
+            or (fanout_ids.size and (fanout_ids.min() < 0 or fanout_ids.max() >= slots))
+        ):
+            raise ValueError("resub_scan: the fanout arrays do not index the snapshot")
+        # The clamps change nothing but keep every bound in int64: below -1
+        # no cut expands, a window holds at most slots + 1 nodes and as many
+        # divisors, N >= 2 allows every resubstitution and an MFFC holds
+        # 1..slots nodes.
+        bounds = [
+            max(max_leaves, -1),
+            max(0, min(max_window, slots + 2)),
+            min(max_divisors, slots + 1),
+            min(max_divisors_two_resub, slots + 1),
+            max(-1, min(max_resub_nodes, 2)),
+            max(-2, min(min_gain, slots + 1)),
+        ]
+        order_arrays = [0, 0]
+        if orders is not None:
+            if len(orders) != count:
+                raise ValueError("resub_scan: one order per root")
+            offsets = np.zeros(count + 1, np.int64)
+            np.cumsum([len(order) for order in orders], out=offsets[1:])
+            ids = np.fromiter(chain.from_iterable(orders), np.int64, int(offsets[-1]))
+            if ids.size and (ids.min() < 0 or ids.max() >= slots):
+                raise ValueError("resub_scan: orders must hold node ids of the snapshot")
+            order_arrays = [offsets.ctypes.data, ids.ctypes.data]
+        node_arrays = _node_arrays(view) + (np.array(view._ref_counts, np.int64),)
+        out = np.empty((8, count), np.int64)
+        head = (
+            [array.ctypes.data for array in node_arrays] + [slots]
+            + [fanout_offsets.ctypes.data, fanout_ids.ctypes.data]
+            + [root_array.ctypes.data, count] + bounds + order_arrays + [out.ctypes.data]
+        )
+        capacity = 64 * count + 1024
+        while True:
+            buffer = np.empty(capacity, np.int64)
+            # The args block's layout is documented in the kernel source.
+            args = np.array(head + [buffer.ctypes.data, capacity], dtype=np.int64)
+            needed = kernels.resub_scan(args.ctypes.data)
+            if needed == -2:
+                raise ValueError("resub_scan: an order is not its root's window")
+            if needed < 0:  # pragma: no cover - out of memory
+                return None
+            if needed <= capacity:
+                break
+            capacity = needed
+        kind, first, second, third, compl, leaf_count, node_count, offset = out.tolist()
+        nodes = buffer[:needed].tolist()
+        found: List[Optional[tuple]] = [None] * count
+        pending = []
+        for row, added in enumerate(kind):
+            if added == -1:
+                continue
+            start = offset[row]
+            middle = start + leaf_count[row]
+            leaves, rest = nodes[start:middle], nodes[middle:middle + node_count[row]]
+            if added == -2:
+                pending.append((row, leaves, rest))
+                continue
+            bits = compl[row]
+            found[row] = (
+                leaves,
+                rest,
+                (first[row], second[row], third[row])[: added + 1],
+                tuple(bool(bits >> (index + 1) & 1) for index in range(added + 1)),
+                bool(bits & 1),
+            )
+        return found, pending
 
     # ------------------------------------------------------------------ #
     # Commit

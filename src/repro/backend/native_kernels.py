@@ -15,9 +15,10 @@ Without a compiler (and no cached library) :func:`load_engine` reports why,
 and the backend runs every op on the reference code.
 
 Every kernel here is exact integer arithmetic (XOR/AND/popcount on uint64
-words); no floating point is ever compiled, so bit-identity with the
-reference backend is a property of the loop order, which mirrors
-:class:`repro.backend.reference.ReferenceBackend` statement for statement.
+words); no floating point is ever compiled, so bit-identity with the Python
+code a kernel replays (the :class:`repro.backend.reference.ReferenceBackend`
+op, or the finder or scorer loop its comment names) is a property of the
+loop order, which mirrors that code decision for decision.
 """
 
 from __future__ import annotations
@@ -30,8 +31,6 @@ import subprocess
 import tempfile
 import threading
 from typing import Optional, Tuple
-
-import numpy as np
 
 from repro.obs.metrics import REGISTRY
 
@@ -839,63 +838,614 @@ int64_t bg_rewrite_scan(const int64_t* args)
     return pos;
 }
 
-/* min(popcount(t ^ target), popcount(t ^ target ^ mask)) per divisor —
- * the reference's similarity metric over packed multi-word tables. */
-void bg_resub_similarity(
-    const uint64_t* packed, const uint64_t* target, const uint64_t* mask,
-    int64_t n, int64_t words, int64_t* out)
+/* ---- Reconvergence-driven windows: rf and rs scoring ----------------- */
+
+/* The window kernels' limit on max_leaves.  An expansion of the
+ * reconvergence-driven cut re-adds fanins it visited before, so a cut can
+ * end up to two leaves above its limit: tables hold up to
+ * BG_WINDOW_LEAVES + 2 variables. */
+#define BG_WINDOW_LEAVES 12
+#define BG_TABLE_WORDS(n) ((n) <= 6 ? (int64_t)1 : (int64_t)1 << ((n) - 6))
+
+/* repro.aig.reconv_cut.reconvergence_driven_cut of the AND node root: the
+ * sorted leaves go to leaves (room for max(0, max_leaves) + 2), visited is
+ * stamped with e.  Returns the leaf count; 1, with the root as its leaf,
+ * when both fanins are the constant. */
+static int64_t bg_reconv_cut(
+    int64_t root, int64_t max_leaves, const int64_t* fanin0,
+    const int64_t* fanin1, const uint8_t* is_and, uint32_t* visited,
+    uint32_t e, int64_t* leaves)
 {
-    for (int64_t i = 0; i < n; i++) {
-        const uint64_t* t = packed + i * words;
-        int64_t agree = 0;
-        int64_t compl_agree = 0;
-        for (int64_t w = 0; w < words; w++) {
-            uint64_t delta = t[w] ^ target[w];
-            agree += BG_POPCOUNT(delta);
-            compl_agree += BG_POPCOUNT(delta ^ mask[w]);
-        }
-        out[i] = agree < compl_agree ? agree : compl_agree;
+    int64_t n = 0;
+    int64_t fanins[2] = {fanin0[root] >> 1, fanin1[root] >> 1};
+    visited[root] = e;
+    for (int side = 0; side < 2; side++) {
+        int64_t f = fanins[side];
+        if (f == 0 || (n == 1 && leaves[0] == f)) continue;
+        leaves[n++] = f;
+        visited[f] = e;
     }
+    if (n == 0) {
+        leaves[0] = root;
+        return 1;
+    }
+    for (;;) {
+        /* The cheapest expansion (fanins not visited yet, minus the leaf
+         * itself) within the limit; ties go to the largest leaf id. */
+        int64_t best = -1, best_cost = 0;
+        for (int64_t i = 0; i < n; i++) {
+            int64_t leaf = leaves[i];
+            if (!is_and[leaf]) continue;
+            int64_t a = fanin0[leaf] >> 1, b = fanin1[leaf] >> 1;
+            int64_t cost = -1 + (visited[a] != e) + (b != a && visited[b] != e);
+            if (n + cost > max_leaves) continue;
+            if (best < 0 || cost < best_cost || (cost == best_cost && leaf > best)) {
+                best = leaf;
+                best_cost = cost;
+            }
+        }
+        if (best < 0) break;
+        int64_t kept = 0;
+        for (int64_t i = 0; i < n; i++)
+            if (leaves[i] != best) leaves[kept++] = leaves[i];
+        n = kept;
+        int64_t grown[2] = {fanin0[best] >> 1, fanin1[best] >> 1};
+        for (int side = 0; side < 2; side++) {
+            int64_t f = grown[side];
+            if (f == 0) continue;
+            int64_t i = 0;
+            while (i < n && leaves[i] != f) i++;
+            if (i == n) leaves[n++] = f;
+            visited[f] = e;
+        }
+    }
+    for (int64_t i = 1; i < n; i++) {
+        int64_t v = leaves[i], j = i;
+        while (j > 0 && leaves[j - 1] > v) {
+            leaves[j] = leaves[j - 1];
+            j--;
+        }
+        leaves[j] = v;
+    }
+    return n;
 }
 
-/* First target == maybe_not(AND(+-a, +-b)) pair over ranked divisors, in
- * the reference's exact checking order: (i, j > i) row-major, complement
- * combinations FF/FT/TF/TT, direct output before complemented.  combo
- * encodes (compl_a << 2) | (compl_b << 1) | compl_out. */
-int bg_resub_one_match(
-    const uint64_t* packed, const uint64_t* target, const uint64_t* mask,
-    int64_t n, int64_t words,
-    int64_t* out)
+/* The all-ones table of n variables as a word pattern: tables of 6 or
+ * more variables fill every word. */
+static uint64_t bg_table_mask(int64_t n)
 {
+    return n >= 6 ? ~0ull : (1ull << (1 << n)) - 1;
+}
+
+/* Rows 0..n of a multiword table block: the constant, then leaf i as
+ * variable i (repro.aig.truth.table_var). */
+static void bg_leaf_rows(uint64_t* rows, int64_t n, int64_t words, uint64_t mask)
+{
+    for (int64_t w = 0; w < words; w++) rows[w] = 0;
+    for (int64_t i = 0; i < n; i++)
+        for (int64_t w = 0; w < words; w++)
+            rows[(i + 1) * words + w] = mask & (i < 6 ? BG_VAR_TABLES[i]
+                : ((w >> (i - 6)) & 1) ? ~0ull : 0);
+}
+
+/* dst = (a ^ ma) & (b ^ mb), word by word. */
+static void bg_and_row(
+    uint64_t* dst, const uint64_t* a, uint64_t ma, const uint64_t* b,
+    uint64_t mb, int64_t words)
+{
+    for (int64_t w = 0; w < words; w++) dst[w] = (a[w] ^ ma) & (b[w] ^ mb);
+}
+
+/* a == b ^ m, word by word. */
+static int bg_rows_equal(const uint64_t* a, const uint64_t* b, uint64_t m, int64_t words)
+{
+    for (int64_t w = 0; w < words; w++)
+        if (a[w] != (b[w] ^ m)) return 0;
+    return 1;
+}
+
+/* Grow *rows to hold need words; nonzero when it cannot. */
+static int bg_reserve(uint64_t** rows, int64_t* capacity, int64_t need)
+{
+    if (need <= *capacity) return 0;
+    int64_t grown = 2 * *capacity > need ? 2 * *capacity : need;
+    uint64_t* moved = realloc(*rows, grown * sizeof(uint64_t));
+    if (!moved) return 1;
+    *rows = moved;
+    *capacity = grown;
+    return 0;
+}
+
+/* repro.aig.truth.cut_truth_table of root over its n leaves, written to out
+ * in BG_TABLE_WORDS(n) words: the post-order walk of bg_cut_table over
+ * multiword rows, row 0 the constant and row i + 1 leaf i, the cone's rows
+ * appended to *rows as the walk computes them.  Returns nonzero when the
+ * rows cannot grow (or, never on a snapshot, the stack would overflow). */
+static int bg_cone_table(
+    const int64_t* fanin0, const int64_t* fanin1, int64_t root,
+    const int64_t* leaves, int64_t n, uint32_t* stamp, uint32_t e,
+    int64_t* row_of, int64_t* stack, int64_t stack_cap, uint64_t** rows,
+    int64_t* capacity, uint64_t* out)
+{
+    int64_t words = BG_TABLE_WORDS(n);
+    uint64_t mask = bg_table_mask(n);
+    int64_t used = n + 1;
+    if (bg_reserve(rows, capacity, used * words)) return 1;
+    bg_leaf_rows(*rows, n, words, mask);
+    stamp[0] = e;
+    row_of[0] = 0;
     for (int64_t i = 0; i < n; i++) {
-        const uint64_t* ta = packed + i * words;
-        for (int64_t j = i + 1; j < n; j++) {
-            const uint64_t* tb = packed + j * words;
-            for (int ca = 0; ca < 2; ca++) {
-                for (int cb = 0; cb < 2; cb++) {
-                    int direct_ok = 1;
-                    int inverted_ok = 1;
-                    for (int64_t w = 0; w < words; w++) {
-                        uint64_t a = ca ? ta[w] ^ mask[w] : ta[w];
-                        uint64_t b = cb ? tb[w] ^ mask[w] : tb[w];
-                        uint64_t conj = a & b;
-                        if (conj != target[w]) direct_ok = 0;
-                        if ((conj ^ mask[w]) != target[w]) inverted_ok = 0;
-                        if (!direct_ok && !inverted_ok) break;
-                    }
-                    if (direct_ok) {
-                        out[0] = i; out[1] = j; out[2] = (ca << 2) | (cb << 1);
-                        return 1;
-                    }
-                    if (inverted_ok) {
-                        out[0] = i; out[1] = j; out[2] = (ca << 2) | (cb << 1) | 1;
-                        return 1;
+        stamp[leaves[i]] = e;
+        row_of[leaves[i]] = i + 1;
+    }
+    int64_t top = 0;
+    stack[top++] = root;
+    while (top > 0) {
+        int64_t node = stack[top - 1];
+        if (stamp[node] == e) {
+            top--;
+            continue;
+        }
+        int64_t f0 = fanin0[node], f1 = fanin1[node];
+        int k0 = stamp[f0 >> 1] == e, k1 = stamp[f1 >> 1] == e;
+        if (k0 && k1) {
+            if (bg_reserve(rows, capacity, (used + 1) * words)) return 1;
+            uint64_t* t = *rows;
+            bg_and_row(t + used * words, t + row_of[f0 >> 1] * words, (f0 & 1) ? mask : 0,
+                       t + row_of[f1 >> 1] * words, (f1 & 1) ? mask : 0, words);
+            stamp[node] = e;
+            row_of[node] = used++;
+            top--;
+        } else {
+            if (top + 2 > stack_cap) return 1;
+            if (!k0) stack[top++] = f0 >> 1;
+            if (!k1) stack[top++] = f1 >> 1;
+        }
+    }
+    memcpy(out, *rows + row_of[root] * words, words * sizeof(uint64_t));
+    return 0;
+}
+
+/* For a batch of roots, the cut and truth table of
+ * repro.synth.refactor.find_refactor_candidate:
+ *
+ * 1. the reconvergence-driven cut (bg_reconv_cut); a cut of fewer than two
+ *    leaves has no candidate;
+ * 2. the MFFC bounded by the cut (bg_mffc); below min_cone_size nodes, no
+ *    candidate;
+ * 3. repro.aig.truth.cut_truth_table of the root over the leaves
+ *    (bg_cone_table).
+ *
+ * The stamps and work arrays are allocated per call.
+ * args: [0]=fanin0 [1]=fanin1 (int64 literals per slot) [2]=is_and (uint8)
+ *       [3]=refs (int64 per slot: fanouts plus PO uses) [4]=num_slots
+ *       [5]=roots [6]=num_roots [7]=max_leaves (-1..BG_WINDOW_LEAVES)
+ *       [8]=min_cone_size
+ *       [9..11]=output per root: leaves[stride], leaf count (0: no
+ *               candidate), table[BG_TABLE_WORDS(stride)] (uint64), where
+ *               stride = max(0, max_leaves) + 2
+ * Returns nonzero when the work arrays cannot be allocated. */
+int bg_refactor_cut_tables(const int64_t* args)
+{
+    const int64_t* fanin0 = (const int64_t*)args[0];
+    const int64_t* fanin1 = (const int64_t*)args[1];
+    const uint8_t* is_and = (const uint8_t*)args[2];
+    const int64_t* refs = (const int64_t*)args[3];
+    int64_t slots = args[4];
+    const int64_t* roots = (const int64_t*)args[5];
+    int64_t num_roots = args[6];
+    int64_t max_leaves = args[7];
+    int64_t min_cone_size = args[8];
+    int64_t* out_l = (int64_t*)args[9];
+    int64_t* out_n = (int64_t*)args[10];
+    uint64_t* out_t = (uint64_t*)args[11];
+    int64_t stride = (max_leaves > 0 ? max_leaves : 0) + 2;
+    int64_t words = BG_TABLE_WORDS(stride);
+    int64_t capacity = 64 * BG_TABLE_WORDS(stride);
+    int64_t stack_cap = 2 * slots + 2;
+    uint32_t* marks = calloc(5 * (slots + 1), sizeof(uint32_t));
+    int64_t* rem = malloc((slots + 1) * sizeof(int64_t));
+    int64_t* deref = malloc((slots + 1) * sizeof(int64_t));
+    int64_t* row_of = malloc((slots + 1) * sizeof(int64_t));
+    int64_t* stack = malloc(stack_cap * sizeof(int64_t));
+    uint64_t* rows = malloc(capacity * sizeof(uint64_t));
+    int err = !marks || !rem || !deref || !row_of || !stack || !rows;
+    uint32_t* visited = marks;
+    uint32_t* leafmark = marks + (slots + 1);
+    uint32_t* freed = marks + 2 * (slots + 1);
+    uint32_t* remstamp = marks + 3 * (slots + 1);
+    uint32_t* stamp = marks + 4 * (slots + 1);
+    uint32_t epoch = 0;
+    for (int64_t r = 0; r < num_roots && !err; r++) {
+        int64_t root = roots[r];
+        out_n[r] = 0;
+        if (!is_and[root]) continue;
+        uint32_t e = bg_bump(&epoch, marks, 5 * (slots + 1));
+        int64_t* leaves = out_l + r * stride;
+        int64_t n = bg_reconv_cut(root, max_leaves, fanin0, fanin1, is_and, visited, e, leaves);
+        if (n < 2) continue;
+        int64_t nd = bg_mffc(root, leaves, n, fanin0, fanin1, is_and, refs, leafmark,
+                             freed, remstamp, rem, stack, deref, e);
+        if (nd < min_cone_size) continue;
+        err = bg_cone_table(fanin0, fanin1, root, leaves, n, stamp, e, row_of, stack,
+                            stack_cap, &rows, &capacity, out_t + r * words);
+        out_n[r] = n;
+    }
+    free(marks);
+    free(rem);
+    free(deref);
+    free(row_of);
+    free(stack);
+    free(rows);
+    return err;
+}
+
+/* Step 5 of bg_resub_scan over the divisor rows divs (in the finder's
+ * order): the number of AND nodes the replacement adds, or -1 for none,
+ * with its divisor rows in pick and its complements in *compl (bit 0 the
+ * output, bit i + 1 divisor i).  ranked and sims hold count entries,
+ * covers 2 * count. */
+static int64_t bg_resub_match(
+    const uint64_t* tables, int64_t words, uint64_t mask, const uint64_t* target,
+    const int64_t* divs, int64_t count, int64_t gain0, int64_t min_gain,
+    int64_t max_nodes, int64_t max_divisors, int64_t max_two, int64_t* ranked,
+    int64_t* sims, int64_t* covers, int64_t* pick, int64_t* compl)
+{
+    /* 0-resub: the first divisor equal to the target or its complement. */
+    for (int64_t i = 0; i < count; i++) {
+        const uint64_t* t = tables + divs[i] * words;
+        int direct = bg_rows_equal(t, target, 0, words);
+        if (direct || bg_rows_equal(t, target, mask, words)) {
+            pick[0] = divs[i];
+            *compl = direct ? 0 : 2;
+            return 0;
+        }
+    }
+    if (max_nodes < 1) return -1;
+    /* The first max_divisors divisors of the stable sort by similarity
+     * min(|t ^ target|, |t ^ ~target|), inserted one by one. */
+    int64_t limit = max_divisors < count ? max_divisors : count;
+    int64_t nr = 0;
+    for (int64_t i = 0; i < count; i++) {
+        const uint64_t* t = tables + divs[i] * words;
+        int64_t direct = 0, inverse = 0;
+        for (int64_t w = 0; w < words; w++) {
+            direct += BG_POPCOUNT(t[w] ^ target[w]);
+            inverse += BG_POPCOUNT(t[w] ^ target[w] ^ mask);
+        }
+        int64_t sim = direct < inverse ? direct : inverse;
+        int64_t at = nr;
+        while (at > 0 && sims[at - 1] > sim) at--;
+        if (at >= limit) continue;
+        for (int64_t m = nr < limit ? nr : limit - 1; m > at; m--) {
+            ranked[m] = ranked[m - 1];
+            sims[m] = sims[m - 1];
+        }
+        ranked[at] = divs[i];
+        sims[at] = sim;
+        if (nr < limit) nr++;
+    }
+    /* 1-resub: target == maybe_not(AND(+-a, +-b)), pairs (i, j > i),
+     * complements FF, FT, TF, TT, the direct output first. */
+    if (gain0 - 1 >= min_gain) {
+        for (int64_t i = 0; i < nr; i++) {
+            const uint64_t* ta = tables + ranked[i] * words;
+            for (int64_t j = i + 1; j < nr; j++) {
+                const uint64_t* tb = tables + ranked[j] * words;
+                for (int ca = 0; ca < 2; ca++) {
+                    for (int cb = 0; cb < 2; cb++) {
+                        int direct = 1, inverse = 1;
+                        for (int64_t w = 0; w < words && (direct || inverse); w++) {
+                            uint64_t conj = (ta[w] ^ (ca ? mask : 0)) & (tb[w] ^ (cb ? mask : 0));
+                            direct &= conj == target[w];
+                            inverse &= (conj ^ mask) == target[w];
+                        }
+                        if (direct || inverse) {
+                            pick[0] = ranked[i];
+                            pick[1] = ranked[j];
+                            *compl = (direct ? 0 : 1) | (ca << 1) | (cb << 2);
+                            return 1;
+                        }
                     }
                 }
             }
         }
     }
-    return 0;
+    if (max_nodes < 2 || gain0 - 2 < min_gain) return -1;
+    /* 2-resub: target == maybe_not(+-d1 & (+-d2 | +-d3)) over the first
+     * max_two ranked divisors, d1 covering the wanted function. */
+    int64_t nt = max_two < nr ? max_two : nr;
+    for (int oc = 0; oc < 2; oc++) {
+        uint64_t flip = oc ? mask : 0;
+        int zero = 1, full = 1;
+        for (int64_t w = 0; w < words; w++) {
+            zero &= (target[w] ^ flip) == 0;
+            full &= (target[w] ^ flip) == mask;
+        }
+        if (zero || full) continue;
+        int64_t nc = 0;
+        for (int64_t i = 0; i < nt; i++) {
+            const uint64_t* t = tables + ranked[i] * words;
+            int covered = 1, disjoint = 1;
+            for (int64_t w = 0; w < words; w++) {
+                uint64_t wanted = target[w] ^ flip;
+                covered &= (wanted & ~t[w] & mask) == 0;
+                disjoint &= (wanted & t[w]) == 0;
+            }
+            if (covered) covers[nc++] = ranked[i] << 1;
+            if (disjoint) covers[nc++] = (ranked[i] << 1) | 1;
+        }
+        for (int64_t c = 0; c < nc; c++) {
+            int64_t d1 = covers[c] >> 1;
+            const uint64_t* t1 = tables + d1 * words;
+            uint64_t m1 = (covers[c] & 1) ? mask : 0;
+            for (int64_t i = 0; i < nt; i++) {
+                if (ranked[i] == d1) continue;
+                const uint64_t* t2 = tables + ranked[i] * words;
+                for (int64_t j = i + 1; j < nt; j++) {
+                    if (ranked[j] == d1) continue;
+                    const uint64_t* t3 = tables + ranked[j] * words;
+                    for (int c2 = 0; c2 < 2; c2++) {
+                        for (int c3 = 0; c3 < 2; c3++) {
+                            int ok = 1;
+                            for (int64_t w = 0; w < words && ok; w++)
+                                ok = ((t1[w] ^ m1) & ((t2[w] ^ (c2 ? mask : 0))
+                                      | (t3[w] ^ (c3 ? mask : 0)))) == (target[w] ^ flip);
+                            if (ok) {
+                                pick[0] = d1;
+                                pick[1] = ranked[i];
+                                pick[2] = ranked[j];
+                                *compl = oc | (int64_t)((covers[c] & 1) << 1) | (c2 << 2) | (c3 << 3);
+                                return 2;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+    return -1;
+}
+
+/* For a batch of roots, repro.synth.resub.find_resub_candidate replayed:
+ *
+ * 1. the reconvergence-driven cut (bg_reconv_cut) and the MFFC it bounds
+ *    (bg_mffc); no candidate for a cut of fewer than two leaves or an MFFC
+ *    below min_gain (no resubstitution gains more than the MFFC);
+ * 2. the walk of _collect_window: breadth-first from the sorted leaves,
+ *    each node's fanouts in the order of the fanout arrays (the iteration
+ *    order of Aig._fanouts), an AND node joining once both fanins are in,
+ *    until the window, counting the constant and the leaves, holds
+ *    max_window nodes; no candidate when the root stays outside;
+ * 3. the window's truth tables over the leaves and its transitive-fanout
+ *    flags, both in insertion order (a node joins after its fanins);
+ * 4. the divisors: the window's nodes outside the MFFC and the root's
+ *    transitive fanout.
+ *
+ * The finder takes the divisors in the iteration order of its window set,
+ * which only the caller can reproduce.  Without orders, a root whose result
+ * depends on that order is reported pending, with its leaves and its window
+ * in insertion order (the caller's set is rebuilt from these); the others
+ * are resolved: no candidate without divisors, the one divisor equal to the
+ * target or its complement when exactly one is (the 0-resub scan comes
+ * first and finds it in any order), no candidate when none is and no
+ * resubstitution that adds nodes can pay.  With orders (per root, its
+ * window set in iteration order), every root is resolved by
+ * bg_resub_match:
+ *
+ * 5. the first 0-resub divisor; with max_resub_nodes >= 1 the divisors
+ *    stably ranked by similarity to the target, cut to max_divisors, and
+ *    the first 1-resub pair; with max_resub_nodes >= 2
+ *    repro.synth.resub._find_two_resub over the first
+ *    max_divisors_two_resub of them.  A stage runs only when its gain (the
+ *    MFFC size minus the AND nodes it adds) reaches min_gain.
+ *
+ * The stamps, tables and work arrays are allocated per call.
+ * args: [0]=fanin0 [1]=fanin1 (int64 literals per slot) [2]=is_and (uint8)
+ *       [3]=refs (int64 per slot: fanouts plus PO uses) [4]=num_slots
+ *       [5]=fanout offsets (num_slots + 1) [6]=fanout ids
+ *       [7]=roots [8]=num_roots [9]=max_leaves (-1..BG_WINDOW_LEAVES)
+ *       [10]=max_window (0..num_slots + 2) [11]=max_divisors
+ *       [12]=max_divisors_two_resub (both 0..num_slots + 1)
+ *       [13]=max_resub_nodes (-1..2) [14]=min_gain
+ *       [15]=order offsets (num_roots + 1) or 0 [16]=order ids (node ids)
+ *       [17]=output, 8 rows of num_roots: kind (-2 pending, -1 none, else
+ *            the AND nodes the replacement adds), three divisors (-1:
+ *            unused), complements (bit 0 the output, bit i + 1 divisor i),
+ *            leaf count, then the MFFC size (the window size when pending)
+ *            and the root's offset into the node buffer
+ *       [18]=node buffer (per root its leaves, then its MFFC or its window)
+ *       [19]=node buffer capacity
+ * Returns the number of buffer entries the roots need (the caller scans
+ * again with a larger buffer when that exceeds the capacity), -1 when the
+ * work arrays cannot be allocated and -2 when an order is not its root's
+ * window. */
+int64_t bg_resub_scan(const int64_t* args)
+{
+    const int64_t* fanin0 = (const int64_t*)args[0];
+    const int64_t* fanin1 = (const int64_t*)args[1];
+    const uint8_t* is_and = (const uint8_t*)args[2];
+    const int64_t* refs = (const int64_t*)args[3];
+    int64_t slots = args[4];
+    const int64_t* fo_off = (const int64_t*)args[5];
+    const int64_t* fo_ids = (const int64_t*)args[6];
+    const int64_t* roots = (const int64_t*)args[7];
+    int64_t num_roots = args[8];
+    int64_t max_leaves = args[9];
+    int64_t max_window = args[10];
+    int64_t max_divisors = args[11];
+    int64_t max_two = args[12];
+    int64_t max_nodes = args[13];
+    int64_t min_gain = args[14];
+    const int64_t* ord_off = (const int64_t*)args[15];
+    const int64_t* ord_ids = (const int64_t*)args[16];
+    int64_t* out_kind = (int64_t*)args[17];
+    int64_t* out_div = out_kind + num_roots;
+    int64_t* out_compl = out_kind + 4 * num_roots;
+    int64_t* out_nl = out_kind + 5 * num_roots;
+    int64_t* out_ns = out_kind + 6 * num_roots;
+    int64_t* out_off = out_kind + 7 * num_roots;
+    int64_t* buffer = (int64_t*)args[18];
+    int64_t capacity = args[19];
+
+    int64_t stride = (max_leaves > 0 ? max_leaves : 0) + 2;
+    int64_t words_cap = BG_TABLE_WORDS(stride);
+    /* The walk adds at most max_window nodes and at most every slot. */
+    int64_t added_cap = max_window < slots + 1 ? max_window : slots + 1;
+    int64_t rows_cap = stride + 1 + added_cap;
+    uint32_t* marks = calloc(6 * (slots + 1), sizeof(uint32_t));
+    int64_t* rem = malloc((slots + 1) * sizeof(int64_t));
+    int64_t* stack = malloc((slots + 1) * sizeof(int64_t));
+    int64_t* deref = malloc((slots + 1) * sizeof(int64_t));
+    int64_t* row_of = malloc((slots + 1) * sizeof(int64_t));
+    int64_t* added = malloc((added_cap + 1) * sizeof(int64_t));
+    uint64_t* tables = malloc(rows_cap * words_cap * sizeof(uint64_t));
+    uint8_t* tfo = malloc(rows_cap);
+    /* The divisor rows, their ranking with its similarities and the
+     * 2-resub covers. */
+    int64_t* work = malloc(5 * rows_cap * sizeof(int64_t));
+    if (!marks || !rem || !stack || !deref || !row_of || !added || !tables || !tfo || !work) {
+        free(marks); free(rem); free(stack); free(deref); free(row_of);
+        free(added); free(tables); free(tfo); free(work);
+        return -1;
+    }
+    uint32_t* visited = marks;
+    uint32_t* leafmark = marks + (slots + 1);
+    uint32_t* freed = marks + 2 * (slots + 1);
+    uint32_t* remstamp = marks + 3 * (slots + 1);
+    uint32_t* window = marks + 4 * (slots + 1);
+    uint32_t* seen = marks + 5 * (slots + 1);
+    int64_t* divs = work;
+    int64_t* ranked = work + rows_cap;
+    int64_t* sims = work + 2 * rows_cap;
+    int64_t* covers = work + 3 * rows_cap;
+
+    int64_t pos = 0, status = 0;
+    uint32_t epoch = 0;
+    for (int64_t r = 0; r < num_roots && !status; r++) {
+        int64_t root = roots[r];
+        out_kind[r] = -1;
+        for (int d = 0; d < 3; d++) out_div[d * num_roots + r] = -1;
+        out_compl[r] = 0;
+        out_nl[r] = 0;
+        out_ns[r] = 0;
+        out_off[r] = pos;
+        if (!is_and[root]) continue;
+        uint32_t e = bg_bump(&epoch, marks, 6 * (slots + 1));
+        /* 1. The cut and its MFFC. */
+        int64_t leaves[BG_WINDOW_LEAVES + 2];
+        int64_t n = bg_reconv_cut(root, max_leaves, fanin0, fanin1, is_and, visited, e, leaves);
+        if (n < 2) continue;
+        int64_t nd = bg_mffc(root, leaves, n, fanin0, fanin1, is_and, refs, leafmark,
+                             freed, remstamp, rem, stack, deref, e);
+        if (nd < min_gain) continue;
+        /* 2. The window walk: row 0 the constant, rows 1..n the leaves, then
+         * the nodes it adds. */
+        window[0] = e;
+        row_of[0] = 0;
+        for (int64_t i = 0; i < n; i++) {
+            window[leaves[i]] = e;
+            row_of[leaves[i]] = i + 1;
+        }
+        const int64_t* frontier = leaves;
+        int64_t size = n + 1, nw = 0, begin = 0, end = n;
+        while (end > begin && size < max_window) {
+            int64_t next = nw;
+            for (int64_t i = begin; i < end && size < max_window; i++) {
+                int64_t cur = frontier[i];
+                for (int64_t j = fo_off[cur]; j < fo_off[cur + 1]; j++) {
+                    int64_t fo = fo_ids[j];
+                    if (window[fo] == e || !is_and[fo]) continue;
+                    if (window[fanin0[fo] >> 1] != e || window[fanin1[fo] >> 1] != e) continue;
+                    window[fo] = e;
+                    row_of[fo] = n + 1 + nw;
+                    added[nw++] = fo;
+                    if (++size >= max_window) break;
+                }
+            }
+            frontier = added;
+            begin = next;
+            end = nw;
+        }
+        if (window[root] != e) continue;
+        /* 3. Tables and transitive-fanout flags in insertion order. */
+        int64_t words = BG_TABLE_WORDS(n);
+        uint64_t mask = bg_table_mask(n);
+        int64_t rows = n + 1 + nw;
+        bg_leaf_rows(tables, n, words, mask);
+        for (int64_t i = 0; i <= n; i++) tfo[i] = 0;
+        for (int64_t k = 0; k < nw; k++) {
+            int64_t node = added[k], f0 = fanin0[node], f1 = fanin1[node];
+            int64_t r0 = row_of[f0 >> 1], r1 = row_of[f1 >> 1];
+            bg_and_row(tables + (n + 1 + k) * words, tables + r0 * words, (f0 & 1) ? mask : 0,
+                       tables + r1 * words, (f1 & 1) ? mask : 0, words);
+            tfo[n + 1 + k] = node == root || tfo[r0] || tfo[r1];
+        }
+        const uint64_t* target = tables + row_of[root] * words;
+        /* 4. The divisors, and 5. their matching. */
+        int64_t count = 0, kind = -2, compl = 0;
+        int64_t pick[3] = {-1, -1, -1};
+        if (!ord_off) {
+            int64_t matches = 0;
+            for (int64_t row = 1; row < rows; row++) {
+                int64_t node = row <= n ? leaves[row - 1] : added[row - n - 1];
+                if (node == root || freed[node] == e || tfo[row]) continue;
+                count++;
+                const uint64_t* t = tables + row * words;
+                int direct = bg_rows_equal(t, target, 0, words);
+                if (direct || bg_rows_equal(t, target, mask, words)) {
+                    matches++;
+                    pick[0] = row;
+                    compl = direct ? 0 : 2;
+                }
+            }
+            if (count == 0) continue;
+            if (matches == 1) kind = 0;
+            else if (matches == 0 && (max_nodes < 1 || nd - 1 < min_gain)) continue;
+        } else {
+            int64_t start = ord_off[r], stop = ord_off[r + 1];
+            if (stop - start != rows - 1) {
+                status = -2;
+                break;
+            }
+            for (int64_t j = start; j < stop; j++) {
+                int64_t node = ord_ids[j];
+                if (node == 0 || window[node] != e || seen[node] == e) {
+                    status = -2;
+                    break;
+                }
+                seen[node] = e;
+                if (node == root || freed[node] == e || tfo[row_of[node]]) continue;
+                divs[count++] = row_of[node];
+            }
+            if (status) break;
+            if (count == 0) continue;
+            kind = bg_resub_match(tables, words, mask, target, divs, count, nd, min_gain,
+                                  max_nodes, max_divisors, max_two, ranked, sims, covers,
+                                  pick, &compl);
+            if (kind < 0) continue;
+        }
+        out_kind[r] = kind;
+        for (int d = 0; d < 3 && kind >= 0; d++) {
+            int64_t row = pick[d];
+            if (row >= 0)
+                out_div[d * num_roots + r] = row <= n ? leaves[row - 1] : added[row - n - 1];
+        }
+        out_compl[r] = kind >= 0 ? compl : 0;
+        /* Leaves, then the MFFC (a match) or the window (pending). */
+        const int64_t* second = kind == -2 ? added : deref;
+        int64_t ns = kind == -2 ? nw : nd;
+        out_nl[r] = n;
+        out_ns[r] = ns;
+        if (pos + n + ns <= capacity) {
+            for (int64_t i = 0; i < n; i++) buffer[pos + i] = leaves[i];
+            for (int64_t i = 0; i < ns; i++) buffer[pos + n + i] = second[i];
+        }
+        pos += n + ns;
+    }
+    free(marks); free(rem); free(stack); free(deref); free(row_of);
+    free(added); free(tables); free(tfo); free(work);
+    return status ? status : pos;
 }
 
 /* Dirty-bitmap conflict screen of the sweep-commit loop. */
@@ -1008,10 +1558,10 @@ class CcKernels:
         lib.bg_snapshot_cut_tables.restype = ctypes.c_int
         lib.bg_rewrite_scan.argtypes = [ptr]
         lib.bg_rewrite_scan.restype = i64
-        lib.bg_resub_similarity.argtypes = [ptr, ptr, ptr, i64, i64, ptr]
-        lib.bg_resub_similarity.restype = None
-        lib.bg_resub_one_match.argtypes = [ptr, ptr, ptr, i64, i64, ptr]
-        lib.bg_resub_one_match.restype = ctypes.c_int
+        lib.bg_refactor_cut_tables.argtypes = [ptr]
+        lib.bg_refactor_cut_tables.restype = ctypes.c_int
+        lib.bg_resub_scan.argtypes = [ptr]
+        lib.bg_resub_scan.restype = i64
         lib.bg_bitmap_any.argtypes = [ptr, ptr, i64]
         lib.bg_bitmap_any.restype = ctypes.c_int
         lib.bg_bitmap_mark.argtypes = [ptr, ptr, i64]
@@ -1024,8 +1574,8 @@ class CcKernels:
         self._fn_local_cuts = lib.bg_local_cut_tables
         self._fn_snapshot_cuts = lib.bg_snapshot_cut_tables
         self._fn_rewrite_scan = lib.bg_rewrite_scan
-        self._fn_similarity = lib.bg_resub_similarity
-        self._fn_one_match = lib.bg_resub_one_match
+        self._fn_refactor_cut_tables = lib.bg_refactor_cut_tables
+        self._fn_resub_scan = lib.bg_resub_scan
         self._fn_bitmap_any = lib.bg_bitmap_any
         self._fn_bitmap_mark = lib.bg_bitmap_mark
         self.path = path
@@ -1054,33 +1604,13 @@ class CcKernels:
         """Run ``bg_rewrite_scan`` on a filled args block: entries needed, or -1."""
         return self._fn_rewrite_scan(args_ptr)
 
-    def resub_similarity(self, packed, target, mask) -> np.ndarray:
-        n, words = packed.shape
-        out = np.empty(n, np.int64)
-        self._fn_similarity(
-            packed.ctypes.data,
-            target.ctypes.data,
-            mask.ctypes.data,
-            n,
-            words,
-            out.ctypes.data,
-        )
-        return out
+    def refactor_cut_tables(self, args_ptr: int) -> int:
+        """Run ``bg_refactor_cut_tables`` on a filled args block (nonzero: failed)."""
+        return self._fn_refactor_cut_tables(args_ptr)
 
-    def resub_one_match(self, packed, target, mask) -> Optional[Tuple[int, int, int]]:
-        n, words = packed.shape
-        out = np.empty(3, np.int64)
-        found = self._fn_one_match(
-            packed.ctypes.data,
-            target.ctypes.data,
-            mask.ctypes.data,
-            n,
-            words,
-            out.ctypes.data,
-        )
-        if not found:
-            return None
-        return int(out[0]), int(out[1]), int(out[2])
+    def resub_scan(self, args_ptr: int) -> int:
+        """Run ``bg_resub_scan`` on a filled args block: entries needed, or < 0."""
+        return self._fn_resub_scan(args_ptr)
 
     def bitmap_any(self, bitmap, idx) -> bool:
         return bool(

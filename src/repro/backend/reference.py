@@ -18,13 +18,6 @@ from typing import Any, Dict, List, Set
 
 from repro.backend.api import OPS, Backend
 
-try:  # Python >= 3.10: C-level popcount for the resub similarity metric.
-    _popcount_int = int.bit_count
-except AttributeError:  # pragma: no cover - exercised only on Python 3.9
-    def _popcount_int(value: int) -> int:
-        return bin(value).count("1")
-
-
 class ReferenceBackend(Backend):
     """Canonical numpy implementations of the whole op vocabulary."""
 
@@ -43,33 +36,6 @@ class ReferenceBackend(Backend):
         v1 ^= f1m
         v0 &= v1
         values[ids] = v0
-
-    # ------------------------------------------------------------------ #
-    # Resubstitution matching
-    # ------------------------------------------------------------------ #
-    def resub_rank_divisors(self, divisors, tables, target, mask):
-        def similarity(divisor: int) -> int:
-            table = tables[divisor]
-            agreement = _popcount_int((table ^ target) & mask)
-            return min(agreement, _popcount_int(table ^ target ^ mask))
-
-        return sorted(divisors, key=similarity)
-
-    def resub_one_match(self, ranked, tables, target, mask):
-        for index, first in enumerate(ranked):
-            table_a = tables[first]
-            for second in ranked[index + 1 :]:
-                table_b = tables[second]
-                for compl_a in (False, True):
-                    ta = table_a ^ mask if compl_a else table_a
-                    for compl_b in (False, True):
-                        tb = table_b ^ mask if compl_b else table_b
-                        conjunction = ta & tb
-                        if conjunction == target:
-                            return first, second, compl_a, compl_b, False
-                        if (conjunction ^ mask) == target:
-                            return first, second, compl_a, compl_b, True
-        return None
 
     # ------------------------------------------------------------------ #
     # Commit

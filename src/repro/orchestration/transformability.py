@@ -4,7 +4,10 @@ Algorithm 1 asks, at every node, whether the node is *transformable with
 respect to the assigned operation*; the static feature embedding additionally
 needs the transformability and local gain of **all three** operations at every
 node (feature bits 3–8 in Figure 3 of the paper).  Both are answered here by
-running the non-mutating candidate finders of :mod:`repro.synth`.
+the non-mutating candidate finders of :mod:`repro.synth`: per node by
+:func:`analyze_node`, and for a whole network by :func:`analyze_network`
+through the batched scorers of :mod:`repro.synth.sweep`, which return the
+finders' candidates.
 """
 
 from __future__ import annotations
@@ -17,10 +20,12 @@ from typing import Dict, Optional
 from repro.aig.aig import Aig
 from repro.aig.kernels import cached_topological_order
 from repro.orchestration.decision import Operation
+from repro.synth import sweep
 from repro.synth.candidates import TransformCandidate
 from repro.synth.refactor import RefactorParams, find_refactor_candidate
 from repro.synth.resub import ResubParams, find_resub_candidate
 from repro.synth.rewrite import RewriteParams, find_rewrite_candidate
+from repro.synth.rewrite_lib import DEFAULT_LIBRARY
 
 
 @dataclass
@@ -112,9 +117,16 @@ def analyze_node(
 ) -> NodeTransformability:
     """Check all three operations at ``node`` and report applicability + gain."""
     params = params or OperationParams()
-    results: Dict[Operation, Optional[TransformCandidate]] = {
-        operation: find_candidate(aig, node, operation, params) for operation in Operation
-    }
+    return _transformability(
+        node,
+        {operation: find_candidate(aig, node, operation, params) for operation in Operation},
+    )
+
+
+def _transformability(
+    node: int, results: Dict[Operation, Optional[TransformCandidate]]
+) -> NodeTransformability:
+    """``node``'s report from its candidate (or ``None``) per operation."""
 
     def unpack(operation: Operation):
         candidate = results[operation]
@@ -144,22 +156,38 @@ _ANALYSIS_CACHE: "weakref.WeakKeyDictionary[Aig, tuple]" = weakref.WeakKeyDictio
 def analyze_network(
     aig: Aig, params: Optional[OperationParams] = None
 ) -> Dict[int, NodeTransformability]:
-    """Run :func:`analyze_node` over every AND node (used for static features).
+    """:func:`analyze_node` of every AND node (used for static features).
 
-    The result is cached per network and recomputed only after a structural
-    edit (the modification counter advances) or under different operation
-    parameters, so the sampler and the static features of one design share
-    a single analysis.  The returned mapping is shared and MUST NOT be
-    mutated.
+    The analysis never mutates the network, so it scores all nodes at once
+    with the batched scorers, which return each node's finder candidate:
+    rewriting over every node's local-region cuts (the finder's, not the
+    global enumeration of :func:`~repro.synth.sweep.score_rewrites`),
+    resubstitution with :func:`~repro.synth.sweep.score_resubs` and
+    refactoring with :func:`~repro.synth.sweep.score_refactors`.  The result
+    is cached per network and recomputed only after a structural edit (the
+    modification counter advances) or under different operation parameters,
+    so the sampler and the static features of one design share a single
+    analysis.  The returned mapping is shared and MUST NOT be mutated.
     """
     tag = (aig.modification_count, params_tag(params))
     entry = _ANALYSIS_CACHE.get(aig)
     if entry is not None and entry[0] == tag:
         return entry[1]
     params = params or OperationParams()
+    nodes = cached_topological_order(aig)
+    library = params.rewrite.library if params.rewrite.library is not None else DEFAULT_LIBRARY
+    found = {
+        Operation.REWRITE: sweep._score_local_rewrites(
+            aig, list(nodes), params.rewrite, library, None
+        ),
+        Operation.RESUB: sweep.score_resubs(aig, None, params.resub),
+        Operation.REFACTOR: sweep.score_refactors(aig, None, params.refactor),
+    }
     analysis = {
-        node: analyze_node(aig, node, params)
-        for node in cached_topological_order(aig)
+        node: _transformability(
+            node, {operation: found[operation].get(node) for operation in Operation}
+        )
+        for node in nodes
     }
     _ANALYSIS_CACHE[aig] = (tag, analysis)
     return analysis

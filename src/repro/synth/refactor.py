@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
-from repro.aig.aig import Aig, AigCycleError
+from repro.aig.aig import Aig
 from repro.aig.literals import lit, lit_not
 from repro.aig.reconv_cut import reconvergence_driven_cut
 from repro.aig.truth import cut_truth_table, table_mask
@@ -106,27 +106,9 @@ def find_refactor_candidate(
         return None
     if gain < params.effective_min_gain():
         return None
+    from repro.synth.rewrite import rewrite_candidate
 
-    def apply(target: Aig, fragment: Fragment = fragment, literals=tuple(leaf_literals)) -> None:
-        output = fragment.instantiate(target, list(literals))
-        try:
-            target.replace(node, output)
-        except AigCycleError:
-            # See the matching note in rewrite.py: reusing fanout-cone logic
-            # would create a cycle, so this candidate is skipped.
-            pass
-
-    from repro.synth.rewrite import _fragment_regain
-
-    return TransformCandidate(
-        node=node,
-        operation="rf",
-        gain=gain,
-        leaves=tuple(leaves),
-        _apply=apply,
-        refs=tuple(leaves),
-        deref=frozenset(deref),
-        reused=frozenset(estimate.reused_nodes),
-        min_gain=params.effective_min_gain(),
-        _regain=_fragment_regain(node, tuple(leaves), tuple(leaf_literals), fragment),
+    return rewrite_candidate(
+        node, leaves, fragment, gain, deref, estimate.reused_nodes,
+        params.effective_min_gain(), operation="rf",
     )

@@ -13,15 +13,20 @@ by an AND/OR of two divisors) are attempted in order of decreasing saving.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.aig.aig import Aig
 from repro.aig.literals import lit, lit_is_compl, lit_not, lit_var
 from repro.aig.reconv_cut import reconvergence_driven_cut
 from repro.aig.truth import cached_table_var, table_mask
-from repro.backend import get_backend
 from repro.synth.candidates import TransformCandidate
 from repro.synth.mffc import mffc_nodes
+
+try:  # Python >= 3.10: C-level popcount for the divisor similarity.
+    _popcount = int.bit_count
+except AttributeError:  # pragma: no cover - exercised only on Python 3.9
+    def _popcount(value: int) -> int:
+        return bin(value).count("1")
 
 
 @dataclass
@@ -76,68 +81,99 @@ def find_resub_candidate(
     tables = _window_truth_tables(aig, leaves, window)
     target = tables[node]
 
+    min_gain = params.effective_min_gain()
+
     # --- 0-resub: the function already exists in the window. -------------- #
-    gain0 = len(deref)
-    if gain0 >= params.effective_min_gain():
+    if len(deref) >= min_gain:
         for divisor in divisors:
             table = tables[divisor]
             if table == target or table == target ^ mask:
-                return _make_candidate(
-                    aig, node, leaves, gain0, lit(divisor, table != target), deref,
-                    params.effective_min_gain(),
+                return resub_candidate(
+                    node, leaves, deref, (divisor,), (table != target,), False, min_gain
                 )
 
     # --- 1-resub: AND / OR of two (possibly complemented) divisors. ------- #
     if params.max_resub_nodes < 1:
         return None
-    gain1 = len(deref) - 1
-    backend = get_backend()
-    ranked = backend.resub_rank_divisors(divisors, tables, target, mask)[
-        : params.max_divisors
-    ]
-    if gain1 >= params.effective_min_gain():
-        pair = backend.resub_one_match(ranked, tables, target, mask)
-        if pair is not None:
-            first, second, compl_a, compl_b, compl_out = pair
 
-            def apply(
-                target_aig: Aig,
-                first=first,
-                second=second,
-                compl_a=compl_a,
-                compl_b=compl_b,
-                compl_out=compl_out,
-            ) -> None:
-                lit_a = lit(first, compl_a)
-                lit_b = lit(second, compl_b)
-                new_lit = target_aig.add_and(lit_a, lit_b)
-                if compl_out:
-                    new_lit = lit_not(new_lit)
-                target_aig.replace(node, new_lit)
+    def similarity(divisor: int) -> int:
+        delta = tables[divisor] ^ target
+        return min(_popcount(delta & mask), _popcount(delta ^ mask))
 
-            return TransformCandidate(
-                node=node,
-                operation="rs",
-                gain=gain1,
-                leaves=tuple(leaves),
-                _apply=apply,
-                refs=(first, second),
-                deref=frozenset(deref),
-                min_gain=params.effective_min_gain(),
-                _regain=_resub_regain(node, tuple(leaves), 1),
-            )
+    ranked = sorted(divisors, key=similarity)[: params.max_divisors]
+    if len(deref) - 1 >= min_gain:
+        # Pairs (i, j > i) in ranked order, complements FF, FT, TF, TT, the
+        # direct output before the complemented one.
+        for index, first in enumerate(ranked):
+            table_a = tables[first]
+            for second in ranked[index + 1 :]:
+                table_b = tables[second]
+                for compl_a in (False, True):
+                    ta = table_a ^ mask if compl_a else table_a
+                    for compl_b in (False, True):
+                        conjunction = ta & (table_b ^ mask if compl_b else table_b)
+                        if conjunction == target or conjunction ^ mask == target:
+                            return resub_candidate(
+                                node, leaves, deref, (first, second), (compl_a, compl_b),
+                                conjunction != target, min_gain,
+                            )
 
     # --- 2-resub: AND-OR of three divisors (two new nodes). --------------- #
-    if params.max_resub_nodes < 2:
+    if params.max_resub_nodes < 2 or len(deref) - 2 < min_gain:
         return None
-    gain2 = len(deref) - 2
-    if gain2 < params.effective_min_gain():
-        return None
-    candidate = _find_two_resub(
-        node, leaves, ranked[: params.max_divisors_two_resub], tables, target, mask, gain2,
-        deref, params.effective_min_gain(),
+    return _find_two_resub(
+        node, leaves, ranked[: params.max_divisors_two_resub], tables, target, mask,
+        deref, min_gain,
     )
-    return candidate
+
+
+def resub_candidate(
+    node: int,
+    leaves: Sequence[int],
+    deref: Iterable[int],
+    divisors: Sequence[int],
+    complements: Sequence[bool],
+    output_complement: bool,
+    min_gain: int,
+) -> TransformCandidate:
+    """The candidate replacing ``node`` by a structure over 1-3 divisors.
+
+    One divisor is a 0-resub (the node becomes ``±d1``), two a 1-resub
+    (``maybe_not(±d1 & ±d2)``) and three a 2-resub (``maybe_not(±d1 & (±d2
+    | ±d3))``); ``complements`` holds the divisors' complements.  The gain
+    is the freed MFFC (``deref``) minus the AND nodes the structure adds.
+    Built by :func:`find_resub_candidate` and for the results of the native
+    backend's compiled resub scan (see
+    :func:`repro.synth.sweep.score_resubs`).
+    """
+    leaves = tuple(leaves)
+    deref = frozenset(deref)
+    divisors = tuple(divisors)
+    adds = len(divisors) - 1
+
+    def apply(target_aig: Aig) -> None:
+        literals = [lit(divisor, compl) for divisor, compl in zip(divisors, complements)]
+        new_lit = literals[0]
+        if adds == 1:
+            new_lit = target_aig.add_and(new_lit, literals[1])
+        elif adds == 2:
+            or_lit = target_aig.make_or(literals[1], literals[2])
+            new_lit = target_aig.add_and(new_lit, or_lit)
+        if output_complement:
+            new_lit = lit_not(new_lit)
+        target_aig.replace(node, new_lit)
+
+    return TransformCandidate(
+        node=node,
+        operation="rs",
+        gain=len(deref) - adds,
+        leaves=leaves,
+        _apply=apply,
+        refs=divisors,
+        deref=deref,
+        min_gain=min_gain,
+        _regain=_resub_regain(node, leaves, adds),
+    )
 
 
 def _find_two_resub(
@@ -147,7 +183,6 @@ def _find_two_resub(
     tables: Dict[int, int],
     target: int,
     mask: int,
-    gain: int,
     deref: Set[int],
     min_gain: int,
 ) -> Optional[TransformCandidate]:
@@ -183,38 +218,11 @@ def _find_two_resub(
                         t2 = tables[d2] ^ mask if compl2 else tables[d2]
                         for compl3 in (False, True):
                             t3 = tables[d3] ^ mask if compl3 else tables[d3]
-                            if (t1 & (t2 | t3)) != wanted:
-                                continue
-
-                            def apply(
-                                target_aig: Aig,
-                                d1=d1,
-                                d2=d2,
-                                d3=d3,
-                                compl1=compl1,
-                                compl2=compl2,
-                                compl3=compl3,
-                                output_compl=output_compl,
-                            ) -> None:
-                                or_lit = target_aig.make_or(
-                                    lit(d2, compl2), lit(d3, compl3)
+                            if (t1 & (t2 | t3)) == wanted:
+                                return resub_candidate(
+                                    node, leaves, deref, (d1, d2, d3),
+                                    (compl1, compl2, compl3), output_compl, min_gain,
                                 )
-                                new_lit = target_aig.add_and(lit(d1, compl1), or_lit)
-                                if output_compl:
-                                    new_lit = lit_not(new_lit)
-                                target_aig.replace(node, new_lit)
-
-                            return TransformCandidate(
-                                node=node,
-                                operation="rs",
-                                gain=gain,
-                                leaves=tuple(leaves),
-                                _apply=apply,
-                                refs=(d1, d2, d3),
-                                deref=frozenset(deref),
-                                min_gain=min_gain,
-                                _regain=_resub_regain(node, tuple(leaves), 2),
-                            )
     return None
 
 
@@ -226,9 +234,21 @@ def _collect_window(aig: Aig, leaves: Sequence[int], max_window: int) -> Set[int
 
     Starting from the leaves, AND nodes are added whenever both of their
     fanins are already inside the window, which is exactly the condition for
-    their truth table over the leaves to be well defined.
+    their truth table over the leaves to be well defined.  The finder scans
+    its divisors in the returned set's iteration order.
+    """
+    return window_set(leaves, _window_walk(aig, leaves, max_window))
+
+
+def _window_walk(aig: Aig, leaves: Sequence[int], max_window: int) -> List[int]:
+    """The AND nodes of the window of ``leaves``, in the order they join it.
+
+    Breadth-first from the leaves, each node's fanouts in ``Aig.fanouts``
+    order, until the window (counting the constant and the leaves) holds
+    ``max_window`` nodes.
     """
     window: Set[int] = set(leaves) | {0}
+    added: List[int] = []
     frontier = list(leaves)
     while frontier and len(window) < max_window:
         next_frontier: List[int] = []
@@ -240,12 +260,27 @@ def _collect_window(aig: Aig, leaves: Sequence[int], max_window: int) -> Set[int
                 f1 = lit_var(aig.fanin1(fanout))
                 if f0 in window and f1 in window:
                     window.add(fanout)
+                    added.append(fanout)
                     next_frontier.append(fanout)
                     if len(window) >= max_window:
                         break
             if len(window) >= max_window:
                 break
         frontier = next_frontier
+    return added
+
+
+def window_set(leaves: Sequence[int], added: Sequence[int]) -> Set[int]:
+    """The window of ``leaves`` as a set, ``added`` joining in order.
+
+    A set's iteration order follows from the statements that built it, so
+    this helper is the one place that builds window sets: the finder's,
+    and the ones rebuilt from a compiled walk's insertion order (see
+    :func:`repro.synth.sweep.score_resubs`), iterate alike.
+    """
+    window: Set[int] = set(leaves) | {0}
+    for node in added:
+        window.add(node)
     window.discard(0)
     return window
 
@@ -289,23 +324,3 @@ def _resub_regain(node: int, leaves: Tuple[int, ...], adds: int):
         return len(mffc_nodes(target, node, leaves)) - adds
 
     return regain
-
-
-def _make_candidate(
-    aig: Aig, node: int, leaves: Sequence[int], gain: int, replacement: int,
-    deref: Set[int], min_gain: int,
-) -> TransformCandidate:
-    def apply(target_aig: Aig, replacement=replacement) -> None:
-        target_aig.replace(node, replacement)
-
-    return TransformCandidate(
-        node=node,
-        operation="rs",
-        gain=gain,
-        leaves=tuple(leaves),
-        _apply=apply,
-        refs=(replacement >> 1,),
-        deref=frozenset(deref),
-        min_gain=min_gain,
-        _regain=_resub_regain(node, tuple(leaves), 0),
-    )

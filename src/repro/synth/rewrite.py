@@ -135,12 +135,15 @@ def rewrite_candidate(
     deref: Iterable[int],
     reused: Iterable[int],
     min_gain: int,
+    operation: str = "rw",
 ) -> TransformCandidate:
     """The candidate replacing ``node`` by ``fragment`` over the cut ``leaves``.
 
-    Built from a scored cut: by :func:`evaluate_rewrite_cut`, and for the
-    winners of the native backend's compiled scan (see
-    :func:`repro.synth.sweep.score_rewrites`), which reports the same
+    Built from a scored cut: by :func:`evaluate_rewrite_cut` and
+    :func:`repro.synth.refactor.find_refactor_candidate` (``operation``
+    ``"rf"``), and for the winners of the native backend's compiled scan
+    (see :func:`repro.synth.sweep.score_rewrites` and
+    :func:`repro.synth.sweep.score_refactors`), which reports the same
     ``gain``, MFFC (``deref``) and ``reused`` nodes.
     """
     leaves = tuple(leaves)
@@ -159,7 +162,7 @@ def rewrite_candidate(
 
     return TransformCandidate(
         node=node,
-        operation="rw",
+        operation=operation,
         gain=gain,
         leaves=leaves,
         _apply=apply,

@@ -16,9 +16,11 @@ This module restructures the passes into two phases per *sweep*:
    for the cuts it evaluates; a small target set (a rescore sweep) is scored
    over each node's bounded local-region cuts instead, which the native
    backend enumerates with their truth tables in one compiled call.
-   Refactoring and resubstitution run their per-node finders against the
-   frozen network, where levels, fanout arrays and the topological order are
-   computed exactly once.
+   Refactoring and resubstitution return their per-node finders' candidates:
+   on the native backend from compiled calls over all targets (the cuts and
+   truth tables of refactoring, then the rewrite scan's dry run; the whole
+   windowed matching of resubstitution), otherwise by running the finders
+   against the frozen network.
 
 2. **Commit** — a maximal set of *footprint-disjoint* winners (best gain
    first) is applied in a single mutation sweep.  Each applied candidate
@@ -39,12 +41,13 @@ the input network holds by construction; the test-suite additionally checks
 batched-vs-sequential equivalence and node-count monotonicity on randomized
 networks and on every registered benchmark.
 
-The numeric inner loops — cut enumeration, the rewrite scan, resub
-matching, the conflict screen of the commit phase — dispatch through the
-selected compute backend (:mod:`repro.backend`), so the same sweep code runs
-on the pure numpy reference or on the native backend's compiled loops; the
-tracked ``pass_sweep`` benchmark measures this engine on the native backend
-against the sequential drivers on the reference.
+The numeric inner loops — cut enumeration, the rewrite scan, the window
+scans of refactoring and resubstitution, the conflict screen of the commit
+phase — dispatch through the selected compute backend
+(:mod:`repro.backend`), so the same sweep code runs on the pure numpy
+reference or on the native backend's compiled loops; the tracked
+``pass_sweep`` benchmark measures this engine on the native backend against
+the sequential drivers on the reference.
 """
 
 from __future__ import annotations
@@ -62,8 +65,8 @@ from repro.aig.truth import cut_truth_table
 from repro.backend import get_backend
 from repro.obs.trace import TRACER
 from repro.synth.candidates import TransformCandidate
-from repro.synth.refactor import RefactorParams, find_refactor_candidate
-from repro.synth.resub import ResubParams, find_resub_candidate
+from repro.synth.refactor import RefactorParams, find_refactor_candidate, refactor_fragment
+from repro.synth.resub import ResubParams, find_resub_candidate, resub_candidate, window_set
 from repro.synth.rewrite import (
     RewriteParams,
     evaluate_rewrite_cut,
@@ -330,6 +333,36 @@ def _score_local_rewrites(
     return candidates
 
 
+def _tabled(
+    targets: List[int],
+    operation: str,
+    table: Optional[CandidateTable],
+    score: Callable[[List[int]], Optional[List[Optional[TransformCandidate]]]],
+) -> Optional[Dict[int, TransformCandidate]]:
+    """Each target's candidate, with ``score`` run once on those ``table`` lacks.
+
+    ``score`` maps the missing targets to their candidates (``None`` where a
+    target has none), or returns ``None`` to decline; its results are
+    recorded into ``table``.  Returns the targets' candidates in order, or
+    ``None`` when ``score`` declined.
+    """
+    misses = [node for node in targets if table is None or (node, operation) not in table]
+    found: Dict[int, Optional[TransformCandidate]] = {}
+    if misses:
+        scored = score(misses)
+        if scored is None:
+            return None
+        found = dict(zip(misses, scored))
+        if table is not None:
+            table.update(((node, operation), candidate) for node, candidate in found.items())
+    candidates: Dict[int, TransformCandidate] = {}
+    for node in targets:
+        candidate = found[node] if node in found else table[(node, operation)]
+        if candidate is not None:
+            candidates[node] = candidate
+    return candidates
+
+
 def score_refactors(
     aig: Aig,
     nodes: Optional[Set[int]] = None,
@@ -339,27 +372,91 @@ def score_refactors(
 ) -> Dict[int, TransformCandidate]:
     """Best refactoring candidate per node against one frozen snapshot.
 
-    The per-node finder runs unchanged, but two batched shortcuts apply:
-    nodes whose *global* MFFC (an upper bound on any cut-bounded MFFC) is
-    already below ``min_cone_size`` are skipped before the expensive
-    collapse-and-factor pipeline, and factored fragments come from the
-    process-wide memo behind
-    :func:`~repro.synth.refactor.refactor_fragment`.  ``table`` memoizes the
-    finder calls that pass the prefilter.
+    Equal, candidate for candidate, to
+    :func:`~repro.synth.refactor.find_refactor_candidate` per target.  A
+    backend with the ``refactor_cut_tables`` and ``rewrite_scan``
+    capabilities scores every target ``table`` lacks in two compiled calls
+    (see :func:`_score_compiled_refactors`).  Otherwise the finder runs per
+    node, skipping nodes whose *global* MFFC (an upper bound on any
+    cut-bounded MFFC) is already below ``min_cone_size``.  Both paths take
+    factored fragments from the process-wide memo behind
+    :func:`~repro.synth.refactor.refactor_fragment`, and ``table`` memoizes
+    their results.
     """
     del sweep_params
     params = params or RefactorParams()
     view = levelized(aig)
     view.ensure_node_arrays(aig)
+    targets = [n for n in cached_topological_order(aig) if nodes is None or n in nodes]
+    compiled = _tabled(
+        targets, "rf", table,
+        lambda misses: _score_compiled_refactors(aig, view, misses, params),
+    )
+    if compiled is not None:
+        return compiled
     candidates: Dict[int, TransformCandidate] = {}
-    for node in cached_topological_order(aig):
-        if nodes is not None and node not in nodes:
-            continue
+    for node in targets:
         if len(view.mffc_nodes(node)) < params.min_cone_size:
             continue
         candidate = _find(table, node, "rf", find_refactor_candidate, aig, node, params)
         if candidate is not None:
             candidates[node] = candidate
+    return candidates
+
+
+def _score_compiled_refactors(
+    aig: Aig, view: LevelizedAig, targets: List[int], params: RefactorParams
+) -> Optional[List[Optional[TransformCandidate]]]:
+    """:func:`~repro.synth.refactor.find_refactor_candidate` per target, in
+    two compiled calls.
+
+    The backend's ``refactor_cut_tables`` returns each target's
+    reconvergence-driven cut with its truth table, having dropped the
+    targets the finder drops before its dry run.  Each distinct (table, cut
+    size) is resolved through :func:`~repro.synth.refactor.refactor_fragment`,
+    and the backend's ``rewrite_scan`` runs the finder's budgeted dry run on
+    every target's one cut: its gain, its root rejection and its gain bar
+    are the finder's.  Only the winners become candidates, through
+    :func:`~repro.synth.rewrite.rewrite_candidate`.  ``None`` when the
+    backend lacks either op or declines.
+    """
+    backend = get_backend()
+    refactor_cut_tables = getattr(backend, "refactor_cut_tables", None)
+    rewrite_scan = getattr(backend, "rewrite_scan", None)
+    if refactor_cut_tables is None or rewrite_scan is None:
+        return None
+    found = refactor_cut_tables(view, targets, params.max_leaves, params.min_cone_size)
+    if found is None:
+        return None
+    leaves, sizes, tables = found
+    rows = np.flatnonzero(sizes)
+    keys: Dict[Tuple[int, int], int] = {}
+    fragment_of = np.zeros((rows.size, 2), np.int64)
+    for index, row in enumerate(rows.tolist()):
+        fragment_of[index, 0] = keys.setdefault((tables[row], int(sizes[row])), len(keys))
+    fragments = [refactor_fragment(table, size) for table, size in keys]
+    # One cut per target, then the trivial cut the scan's layout expects.
+    scan_leaves = np.zeros((rows.size, 2, leaves.shape[1]), np.int64)
+    scan_leaves[:, 0] = leaves[rows]
+    scan_sizes = np.ones((rows.size, 2), np.int64)
+    scan_sizes[:, 0] = sizes[rows]
+    min_gain = params.effective_min_gain()
+    scan = rewrite_scan(
+        view, aig._strash, np.array(targets, np.int64)[rows], scan_leaves, scan_sizes,
+        np.ones(rows.size, np.int64), fragment_of, fragments, min_gain,
+    )
+    if scan is None:
+        return None
+    best, _pending = scan  # every fragment is built, so no scan stops early
+    candidates: List[Optional[TransformCandidate]] = [None] * len(targets)
+    for index, row in enumerate(rows.tolist()):
+        if best[index] is not None:
+            _cut, gain, deref, reused = best[index]
+            candidates[row] = rewrite_candidate(
+                targets[row], leaves[row, : sizes[row]].tolist(),
+                fragments[fragment_of[index, 0]], gain, deref, reused, min_gain,
+                operation="rf",
+            )
     return candidates
 
 
@@ -398,24 +495,32 @@ def score_resubs(
 ) -> Dict[int, TransformCandidate]:
     """Best resubstitution candidate per node against one frozen snapshot.
 
-    Two exact prefilters derived from the snapshot skip nodes that provably
-    have no candidate before the window machinery runs: 1/2-resub needs a
-    freed MFFC larger than the nodes it adds (the global MFFC bounds every
-    cut-bounded MFFC from above), and 0-resub needs another node with an
-    identical-or-complemented global signature (see
-    :func:`_signature_classes`).  ``table`` memoizes the finder calls that
-    pass both prefilters.
+    Equal, candidate for candidate, to
+    :func:`~repro.synth.resub.find_resub_candidate` per target.  A backend
+    with the ``resub_scan`` capability scores every target ``table`` lacks
+    in compiled calls (see :func:`_score_compiled_resubs`).  Otherwise the
+    finder runs per node behind two exact prefilters derived from the
+    snapshot, which skip nodes that provably have no candidate before the
+    window machinery runs: 1/2-resub needs a freed MFFC larger than the
+    nodes it adds (the global MFFC bounds every cut-bounded MFFC from
+    above), and 0-resub needs another node with an identical-or-complemented
+    global signature (see :func:`_signature_classes`).  ``table`` memoizes
+    the results of both paths.
     """
     params = params or ResubParams()
     sweep_params = sweep_params or SweepParams()
     view = levelized(aig)
     view.ensure_node_arrays(aig)
+    targets = [n for n in cached_topological_order(aig) if nodes is None or n in nodes]
+    compiled = _tabled(
+        targets, "rs", table, lambda misses: _score_compiled_resubs(aig, view, misses, params)
+    )
+    if compiled is not None:
+        return compiled
     classes, keys = _signature_classes(aig, view, sweep_params)
     min_gain = params.effective_min_gain()
     candidates: Dict[int, TransformCandidate] = {}
-    for node in cached_topological_order(aig):
-        if nodes is not None and node not in nodes:
-            continue
+    for node in targets:
         global_mffc = len(view.mffc_nodes(node))
         may_add_nodes = (
             params.max_resub_nodes >= 1 and global_mffc >= min_gain + 1
@@ -427,6 +532,50 @@ def score_resubs(
         if candidate is not None:
             candidates[node] = candidate
     return candidates
+
+
+def _score_compiled_resubs(
+    aig: Aig, view: LevelizedAig, targets: List[int], params: ResubParams
+) -> Optional[List[Optional[TransformCandidate]]]:
+    """:func:`~repro.synth.resub.find_resub_candidate` per target, in at most
+    two compiled calls.
+
+    The backend's ``resub_scan`` replays the finder's cut, MFFC, window,
+    truth tables and divisor filter for every target.  The finder scans its
+    divisors in the iteration order of its window set, which C cannot
+    derive, so the first call resolves only the targets whose result does
+    not depend on that order.  For the others it returns the window in
+    insertion order; :func:`~repro.synth.resub.window_set` rebuilds the
+    finder's set from it, and a second call matches their divisors in that
+    set's order.  Only the winners become candidates, through
+    :func:`~repro.synth.resub.resub_candidate`.  ``None`` when the backend
+    lacks the op or declines.
+    """
+    resub_scan = getattr(get_backend(), "resub_scan", None)
+    if resub_scan is None:
+        return None
+    fanouts = view.fanout_order(aig)
+    min_gain = params.effective_min_gain()
+    settings = (
+        params.max_leaves, params.max_window, params.max_divisors,
+        params.max_divisors_two_resub, params.max_resub_nodes, min_gain,
+    )
+    scan = resub_scan(view, fanouts, targets, *settings)
+    if scan is None:
+        return None
+    found, pending = scan
+    if pending:
+        rows = [row for row, _leaves, _window in pending]
+        orders = [list(window_set(leaves, window)) for _row, leaves, window in pending]
+        rescan = resub_scan(view, fanouts, [targets[row] for row in rows], *settings, orders=orders)
+        if rescan is None:
+            return None
+        for row, match in zip(rows, rescan[0]):
+            found[row] = match
+    return [
+        None if match is None else resub_candidate(node, *match, min_gain)
+        for node, match in zip(targets, found)
+    ]
 
 
 # --------------------------------------------------------------------------- #

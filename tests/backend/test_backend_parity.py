@@ -5,16 +5,13 @@ every op of :class:`~repro.backend.native.NativeBackend` must produce the
 same bytes as :class:`~repro.backend.reference.ReferenceBackend` for the
 same inputs.  These tests drive the ops through their real callers —
 simulation, cut enumeration, the sweep-and-commit passes, resubstitution and
-GNN training — on hypothesis-generated networks, and additionally hit the
-size regimes (small/large divisor sets) that select different internal code
-paths inside the ops.  The native backend degrades per op to the reference
-when no compiled engine is available, so the suite is meaningful (if less
-sharp) even on installs without a C compiler.
+GNN training — on hypothesis-generated networks.  The native backend
+degrades per op to the reference when no compiled engine is available, so
+the suite is meaningful (if less sharp) even on installs without a C
+compiler.
 """
 
 from __future__ import annotations
-
-import random
 
 import numpy as np
 import pytest
@@ -24,10 +21,7 @@ from hypothesis import strategies as st
 from repro.aig.cuts import CutEnumerator
 from repro.aig.random_aig import RandomAigSpec, random_aig
 from repro.aig.simulate import random_patterns, simulate_matrix
-from repro.aig.truth import table_mask
-from repro.backend import create_backend, use_backend
-from repro.backend.native import _NATIVE_RESUB_MIN
-from repro.backend.reference import ReferenceBackend
+from repro.backend import use_backend
 
 #: Every optimized backend is held to the same byte-identity bar.
 OPTIMIZED_BACKENDS = ("native",)
@@ -182,44 +176,6 @@ def test_sampled_orchestration_identical_across_backends(backend_name, design):
 def test_sampled_orchestration_identical_on_random_aigs(backend_name, spec):
     aig = random_aig(spec)
     assert _sample_signatures(aig, backend_name) == _sample_signatures(aig, "reference")
-
-
-# --------------------------------------------------------------------------- #
-# Resubstitution matching ops (both size regimes)
-# --------------------------------------------------------------------------- #
-def _random_resub_case(count, num_vars, seed):
-    rng = random.Random(seed)
-    mask = table_mask(num_vars)
-    divisors = list(range(2, 2 + count))
-    tables = {divisor: rng.randint(0, mask) for divisor in divisors}
-    if count >= 2 and rng.random() < 0.7:
-        # Plant a matching pair so the search usually has something to find.
-        a, b = rng.sample(divisors, 2)
-        target = tables[a] & (tables[b] ^ (mask if rng.random() < 0.5 else 0))
-        if rng.random() < 0.5:
-            target ^= mask
-    else:
-        target = rng.randint(0, mask)
-    return divisors, tables, target & mask, mask
-
-
-@parametrize_backend
-@pytest.mark.parametrize("num_vars", [5, 7])  # 1-word and 2-word tables
-@pytest.mark.parametrize(
-    # Below the threshold the reference loops run, from it the compiled scan.
-    "count", [3, _NATIVE_RESUB_MIN - 1, _NATIVE_RESUB_MIN, 63, 64, 81]
-)
-def test_resub_ops_identical_across_size_regimes(backend_name, num_vars, count):
-    reference = ReferenceBackend()
-    optimized = create_backend(backend_name)
-    for seed in range(8):
-        divisors, tables, target, mask = _random_resub_case(count, num_vars, seed)
-        ranked_ref = reference.resub_rank_divisors(divisors, tables, target, mask)
-        ranked_opt = optimized.resub_rank_divisors(divisors, tables, target, mask)
-        assert ranked_ref == ranked_opt
-        assert reference.resub_one_match(
-            ranked_ref, tables, target, mask
-        ) == optimized.resub_one_match(ranked_opt, tables, target, mask)
 
 
 # --------------------------------------------------------------------------- #

@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 
 from repro.aig.kernels import cached_topological_order
 from repro.aig.random_aig import RandomAigSpec, random_aig
+from repro.backend import use_backend
 from repro.circuits.benchmarks import load_benchmark
 from repro.engine.evaluator import ProcessPoolEvaluator, record_signature
 from repro.orchestration.orchestrate import copy_candidate_table, orchestrate
@@ -70,6 +71,20 @@ def _signatures(records):
     return [record_signature(record) for record in records]
 
 
+def _per_node_analysis(aig, params=None):
+    return {node: analyze_node(aig, node, params) for node in cached_topological_order(aig)}
+
+
+@pytest.mark.parametrize("design", ["b07", "b08", "b09", "b10", "b11", "b12", "c880"])
+@pytest.mark.parametrize(
+    "params", [None, OperationParams(resub=ResubParams(max_resub_nodes=0))], ids=["default", "N0"]
+)
+def test_analysis_equals_per_node_finders(design, params):
+    # The analysis scores every node with the batched scorers at once.
+    aig = load_benchmark(design).copy()
+    assert analyze_network(aig, params) == _per_node_analysis(aig, params)
+
+
 @pytest.mark.parametrize("design", ["b08", "c880"])
 def test_batch_records_equal_cold_per_vector_runs(design):
     aig = load_benchmark(design).copy()
@@ -114,7 +129,12 @@ def test_repeated_vector_yields_identical_records():
 
 
 def test_warm_table_skips_first_sweep_finders(monkeypatch):
-    """Lookups replace finder calls; misses still go through the module globals."""
+    """Lookups replace finder calls; misses still go through the module globals.
+
+    Run on the reference backend, which scores every operation with its
+    finder (the native backend's compiled scorers call none; the warm table
+    skips their roots too, see ``tests/backend/test_window_scan.py``).
+    """
     calls = []
     for name in ("find_rewrite_candidate", "find_resub_candidate", "find_refactor_candidate"):
         finder = getattr(sweep, name)
@@ -123,9 +143,10 @@ def test_warm_table_skips_first_sweep_finders(monkeypatch):
         )
     aig = load_benchmark("b08").copy()
     decisions = RandomSampler(aig, seed=5).generate(1)[0]
-    cold = orchestrate(aig, decisions, in_place=False)
-    cold_calls = len(calls)
-    warm = orchestrate(aig, decisions, in_place=False)
+    with use_backend("reference"):
+        cold = orchestrate(aig, decisions, in_place=False)
+        cold_calls = len(calls)
+        warm = orchestrate(aig, decisions, in_place=False)
     assert cold_calls > 0
     assert len(calls) - cold_calls < cold_calls
     assert record_signature(SampleRecord(decisions, warm)) == record_signature(
@@ -144,9 +165,7 @@ def test_table_and_analysis_rebuilt_after_source_mutation():
     orchestrate(aig, vectors[0])  # in place: the source changes structurally
     assert copy_candidate_table(aig) is not table
     assert analyze_network(aig) is not analysis
-    assert analyze_network(aig) == {
-        node: analyze_node(aig, node) for node in cached_topological_order(aig)
-    }
+    assert analyze_network(aig) == _per_node_analysis(aig)
     vectors = _vectors(aig, guided=2, random=1)
     records = evaluate_samples(aig, vectors)
     assert _signatures(records) == _cold_signatures(aig, vectors)
