@@ -32,7 +32,6 @@ from typing import TYPE_CHECKING, List, Tuple
 import numpy as np
 
 from repro.aig.literals import lit_is_compl, lit_var
-from repro.backend import get_backend
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.aig.aig import Aig
@@ -208,7 +207,7 @@ class LevelizedAig:
         """Largest AND level (0 for a network without AND nodes)."""
         return len(self._level_ops)
 
-    def simulate(self, pi_patterns: np.ndarray, backend=None) -> np.ndarray:
+    def simulate(self, pi_patterns: np.ndarray) -> np.ndarray:
         """Propagate ``pi_patterns`` level by level; return the value matrix.
 
         Parameters
@@ -216,12 +215,6 @@ class LevelizedAig:
         pi_patterns:
             ``(num_pis, num_words)`` uint64 matrix, one row per PI in
             creation order.
-        backend:
-            Compute backend executing the per-level propagation step
-            (default: the process-wide selection, see
-            :func:`repro.backend.get_backend`).  Every backend's
-            ``simulate_level_step`` is bit-identical, so the result does not
-            depend on the choice.
 
         Returns
         -------
@@ -229,16 +222,19 @@ class LevelizedAig:
             ``(num_slots, num_words)`` uint64 matrix; row ``i`` is the
             signature of node id ``i`` (freed slots stay all-zero).
         """
-        if backend is None:
-            backend = get_backend()
         patterns = np.asarray(pi_patterns, dtype=np.uint64)
         num_words = patterns.shape[1] if patterns.ndim == 2 else 1
         values = np.zeros((self.num_slots, num_words), dtype=np.uint64)
         if self.pi_ids.size:
             values[self.pi_ids] = patterns
-        step = backend.simulate_level_step
+        # One CSR level at a time: values[ids] = (values[f0v] ^ f0m) & (values[f1v] ^ f1m).
         for ids, f0v, f0m, f1v, f1m in self._level_ops:
-            step(values, ids, f0v, f0m, f1v, f1m)
+            v0 = values[f0v]
+            v0 ^= f0m
+            v1 = values[f1v]
+            v1 ^= f1m
+            v0 &= v1
+            values[ids] = v0
         return values
 
     def first_encounter_order(self, aig: "Aig") -> List[int]:

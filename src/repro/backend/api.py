@@ -1,9 +1,11 @@
 """The compute-backend protocol: a fixed vocabulary of numeric inner-loop ops.
 
-Every numeric inner loop of the optimizer and the learning pipeline is
-routed through one of the operations below, so a faster implementation (the
-native backend's compiled C loops, raw scipy SpMM and preallocated
-workspaces) can be swapped in without touching pass or training semantics.
+The float inner loops of GNN training are routed through the operations
+below, so a faster implementation (the native backend's raw scipy SpMM and
+preallocated workspaces) can be swapped in without touching training
+semantics.  The optimizer's integer loops (simulation, the commit sweep) run
+the plain numpy and Python code directly; only the capability ops further
+down replace parts of them.
 
 The contract of every op is **bit-identity**: an implementation must return
 byte-for-byte the same result as :class:`repro.backend.reference
@@ -16,10 +18,6 @@ Op vocabulary
 -------------
 
 ===========================  =================================================
-``simulate_level_step``      one CSR level of uint64 AND/complement
-                             propagation (:meth:`LevelizedAig.simulate`)
-``sweep_commit``             apply a batch of footprint-disjoint rewrites in
-                             one journalled mutation sweep
 ``csr_aggregate``            sparse aggregation ``A @ X`` (GraphSAGE mean)
 ``csr_aggregate_t``          the transposed product ``A.T @ G`` (backward)
 ``sage_layer_fused``         fused affine + ReLU6 + dropout of one GraphSAGE
@@ -52,7 +50,7 @@ Selection is handled by :mod:`repro.backend.registry`
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -60,8 +58,6 @@ import numpy as np
 #: entry per name so callers (the ``boolgebra backends`` CLI, ``/metrics``)
 #: can see which ops an implementation accelerates and which fell back.
 OPS: Tuple[str, ...] = (
-    "simulate_level_step",
-    "sweep_commit",
     "csr_aggregate",
     "csr_aggregate_t",
     "sage_layer_fused",
@@ -86,37 +82,8 @@ class Backend:
 
         Values are free-form short strings; the convention is the mechanism
         name for native implementations ("numpy", "scipy",
-        "cc:fused-level-loop") and ``"fallback:<reason>"`` for an op that a
+        "cc:whole-snapshot-cuts") and ``"fallback:<reason>"`` for an op that a
         degraded engine serves from the inherited reference code.
-        """
-        raise NotImplementedError
-
-    # ------------------------------------------------------------------ #
-    # AIG simulation
-    # ------------------------------------------------------------------ #
-    def simulate_level_step(
-        self,
-        values: np.ndarray,
-        ids: np.ndarray,
-        f0v: np.ndarray,
-        f0m: np.ndarray,
-        f1v: np.ndarray,
-        f1m: np.ndarray,
-    ) -> None:
-        """Propagate one CSR level in place: ``values[ids] = (values[f0v] ^ f0m) & (values[f1v] ^ f1m)``."""
-        raise NotImplementedError
-
-    # ------------------------------------------------------------------ #
-    # Commit
-    # ------------------------------------------------------------------ #
-    def sweep_commit(
-        self, aig: Any, candidates: Sequence[Any]
-    ) -> Tuple[List[Any], set, int]:
-        """Apply scored winners in one journalled mutation sweep.
-
-        Exact semantics documented on :func:`repro.synth.sweep
-        .commit_candidates` (decreasing-gain order, journal-based conflict
-        detection, re-validation).  Returns ``(applied, dirty, conflicts)``.
         """
         raise NotImplementedError
 
@@ -128,7 +95,8 @@ class Backend:
 
         ``key`` is an optional workspace-identity hint: calls with the same
         key may return the same (overwritten) buffer, so the caller owns the
-        result only until its next same-key call.
+        result only until its next same-key call.  Without a key the result
+        is a fresh array, as ``matrix @ x`` is.
         """
         raise NotImplementedError
 

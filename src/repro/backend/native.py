@@ -1,19 +1,17 @@
 """The native backend: compiled C loops and workspace GNN ops, reference-identical.
 
 The one fast backend, layered directly on :class:`ReferenceBackend`.  It
-overrides two groups of ops:
+offers two groups of ops:
 
-* **Compiled integer loops** — the fused level-step simulation and the
-  sweep-commit conflict screen: the ops whose remaining cost is Python loop
-  overhead.  Five capability ops go further, replacing whole Python loops
-  of the sweep scorers: the whole-snapshot priority cuts with their truth
-  tables and the MFFC-ordered fragment dry-run scan of global rewrite
-  scoring (the scan also serves refactoring), the local-region cuts (with
-  their truth tables) of small rescore sets, the reconvergence-driven cuts
-  with their truth tables of refactoring, and the windowed resubstitution
-  scan.  They run in :mod:`repro.backend.native_kernels`, a small C source
-  built once with the system compiler into a shared library loaded via
-  ctypes.
+* **Compiled integer loops** — five capability ops, each replacing a whole
+  Python loop of the sweep scorers: the whole-snapshot priority cuts with
+  their truth tables and the MFFC-ordered fragment dry-run scan of global
+  rewrite scoring (the scan also serves refactoring), the local-region cuts
+  (with their truth tables) of small rescore sets, the reconvergence-driven
+  cuts with their truth tables of refactoring, and the windowed
+  resubstitution scan.  They run in :mod:`repro.backend.native_kernels`, a
+  small C source built once with the system compiler into a shared library
+  loaded via ctypes.
 * **GNN float ops** — the GraphSAGE aggregation ``A @ X`` and its
   transposed backward product go straight to scipy's raw ``csr_matvecs`` on
   cached CSR (and cached transposed-CSR) arrays, and the fused GraphSAGE
@@ -26,9 +24,9 @@ overrides two groups of ops:
   through numpy's BLAS only (``np.dot``): a second BLAS library would bring
   a second thread pool to compete with numpy's.
 
-Degradation is **per op**: when the library (or scipy's raw kernel) is
-missing or an array fails the layout checks, the op takes the inherited
-reference code, and a capability op returns ``None``, which sends its caller
+Degradation is **per op**: when scipy's raw kernel is missing or an array
+fails the layout checks, a GNN op takes the inherited reference code, and
+without the library a capability op returns ``None``, which sends its caller
 to the Python loop it replaces.  The compiled kernels are exact integer
 arithmetic in the decision order of the code they replay, so byte identity
 holds by construction and is enforced by ``tests/backend``.
@@ -60,13 +58,11 @@ except Exception:  # pragma: no cover - exercised only without scipy
 _WINDOW_LEAVES = 12
 
 _OP_LABELS = {
-    "simulate_level_step": "fused-level-loop",
     "snapshot_cut_tables": "whole-snapshot-cuts",
     "rewrite_scan": "mffc-ordered-dry-run",
     "local_cut_tables": "local-region-cuts",
     "refactor_cut_tables": "reconvergent-cut-tables",
     "resub_scan": "window-resub-scan",
-    "sweep_commit": "bitmap-conflict-screen",
 }
 
 
@@ -197,35 +193,6 @@ class NativeBackend(ReferenceBackend):
             sage_layer_backward="workspace-fused",
         )
         return support
-
-    # ------------------------------------------------------------------ #
-    # AIG simulation / cut enumeration
-    # ------------------------------------------------------------------ #
-    def simulate_level_step(self, values, ids, f0v, f0m, f1v, f1m) -> None:
-        kernels = self._kernels()
-        if (
-            kernels is None
-            or values.dtype != np.uint64
-            or values.ndim != 2
-            or not values.flags.c_contiguous
-            or ids.dtype != np.int64
-            or f0v.dtype != np.int64
-            or f1v.dtype != np.int64
-            or f0m.dtype != np.uint64
-            or f1m.dtype != np.uint64
-            or f0m.size != ids.shape[0]
-            or f1m.size != ids.shape[0]
-            or not ids.flags.c_contiguous
-            or not f0v.flags.c_contiguous
-            or not f1v.flags.c_contiguous
-            or not f0m.flags.c_contiguous
-            or not f1m.flags.c_contiguous
-        ):
-            super().simulate_level_step(values, ids, f0v, f0m, f1v, f1m)
-            return
-        kernels.simulate_level_step(
-            values, ids, f0v, f0m.reshape(-1), f1v, f1m.reshape(-1)
-        )
 
     # ------------------------------------------------------------------ #
     # Sweep scoring
@@ -565,64 +532,6 @@ class NativeBackend(ReferenceBackend):
         return found, pending
 
     # ------------------------------------------------------------------ #
-    # Commit
-    # ------------------------------------------------------------------ #
-    def sweep_commit(self, aig, candidates):
-        kernels = self._kernels()
-        if kernels is None:
-            return super().sweep_commit(aig, candidates)
-        from repro.aig.aig import AigError
-
-        # The reference loop with the dirty set held as a uint8 bitmap over
-        # the struct-of-arrays id space: the per-candidate footprint screen
-        # and the journal merge run as compiled scans.  Decision sequence,
-        # journals and the returned dirty set are identical by construction.
-        order = sorted(candidates, key=lambda cand: (-cand.gain, cand.node))
-        bitmap = np.zeros(max(aig.num_nodes(), 1), dtype=np.uint8)
-        dirty_any = False
-        applied: List[Any] = []
-        conflicts = 0
-        has_node = aig.has_node
-        for candidate in order:
-            if not has_node(candidate.node) or not aig.is_and(candidate.node):
-                continue
-            touched = False
-            if dirty_any:
-                footprint = candidate.footprint()
-                ids = np.fromiter(footprint, np.int64, len(footprint))
-                touched = kernels.bitmap_any(bitmap, ids)
-            if touched:
-                fresh_gain = candidate.revalidate(aig)
-                if fresh_gain is None or fresh_gain < candidate.min_gain:
-                    conflicts += 1
-                    continue
-            elif not all(has_node(ref) for ref in candidate.refs):
-                conflicts += 1
-                continue
-            journal = aig.journal_begin()
-            try:
-                candidate.apply(aig)
-            except AigError:
-                # Same guard as the reference: a replacement racing into a
-                # cycle is rejected cleanly and the candidate dropped.
-                pass
-            finally:
-                aig.journal_end()
-            if journal:
-                ids = np.fromiter(journal, np.int64, len(journal))
-                top = int(ids.max())
-                if top >= bitmap.shape[0]:
-                    grown = np.zeros(max(top + 1, bitmap.shape[0] * 2), np.uint8)
-                    grown[: bitmap.shape[0]] = bitmap
-                    bitmap = grown
-                kernels.bitmap_mark(bitmap, ids)
-                dirty_any = True
-            if not (aig.has_node(candidate.node) and aig.is_and(candidate.node)):
-                applied.append(candidate)
-        dirty = set(np.flatnonzero(bitmap).tolist())
-        return applied, dirty, conflicts
-
-    # ------------------------------------------------------------------ #
     # GNN training
     # ------------------------------------------------------------------ #
     @staticmethod
@@ -664,7 +573,11 @@ class NativeBackend(ReferenceBackend):
         return cached
 
     def _spmm(self, matrix, x, key) -> Optional[np.ndarray]:
-        """Raw ``csr_matvecs`` into a zeroed workspace; None -> caller falls back."""
+        """Raw ``csr_matvecs`` into a zeroed buffer; None -> caller falls back.
+
+        A keyed call writes into the operator's workspace of that key; an
+        unkeyed one (``key`` None) into a fresh array, like ``matrix @ x``.
+        """
         if _csr_matvecs is None:
             return None
         parts = self._csr_parts(matrix)
@@ -676,14 +589,17 @@ class NativeBackend(ReferenceBackend):
             return None
         rows = matrix.shape[0]
         vecs = x.shape[1]
-        out = self._operator_ws(matrix).get(("spmm", key), (rows, vecs))
-        out.fill(0.0)  # csr_matvecs accumulates into its output
+        if key is None:
+            out = np.zeros((rows, vecs))
+        else:
+            out = self._operator_ws(matrix).get(("spmm", key), (rows, vecs))
+            out.fill(0.0)  # csr_matvecs accumulates into its output
         indptr, indices, data = parts
         _csr_matvecs(rows, matrix.shape[1], vecs, indptr, indices, data, x.ravel(), out.ravel())
         return out
 
     def csr_aggregate(self, matrix, x, key=None):
-        out = self._spmm(matrix, x, ("fwd", key))
+        out = self._spmm(matrix, x, None if key is None else ("fwd", key))
         if out is None:
             return matrix @ x
         return out
@@ -694,7 +610,7 @@ class NativeBackend(ReferenceBackend):
             # in ascending column order — the same order as the wrapper's
             # CSC path, hence bitwise-identical.
             transposed = self._transposed_csr(matrix)
-            out = self._spmm(transposed, grad, ("bwd", key))
+            out = self._spmm(transposed, grad, None if key is None else ("bwd", key))
             if out is not None:
                 return out
             return transposed @ grad

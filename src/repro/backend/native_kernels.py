@@ -12,13 +12,12 @@ The library lives in one cache directory, overridable with the
 compile cost once per machine, not once per worker process — the prewarm
 hooks in the evaluator and the service worker pool rely on exactly this.
 Without a compiler (and no cached library) :func:`load_engine` reports why,
-and the backend runs every op on the reference code.
+and every capability op declines, so its caller runs the Python loop.
 
 Every kernel here is exact integer arithmetic (XOR/AND/popcount on uint64
 words); no floating point is ever compiled, so bit-identity with the Python
-code a kernel replays (the :class:`repro.backend.reference.ReferenceBackend`
-op, or the finder or scorer loop its comment names) is a property of the
-loop order, which mirrors that code decision for decision.
+code a kernel replays (the finder or scorer loop its comment names) is a
+property of the loop order, which mirrors that code decision for decision.
 """
 
 from __future__ import annotations
@@ -58,24 +57,6 @@ static int bg_popcount_fallback(uint64_t x) {
 }
 #define BG_POPCOUNT(x) bg_popcount_fallback(x)
 #endif
-
-/* values[ids[r]] = (values[f0v[r]] ^ f0m[r]) & (values[f1v[r]] ^ f1m[r]),
- * one pass over the CSR level slice, no temporaries. */
-void bg_simulate_level_step(
-    uint64_t* values, int64_t num_words,
-    const int64_t* ids, const int64_t* f0v, const uint64_t* f0m,
-    const int64_t* f1v, const uint64_t* f1m, int64_t n)
-{
-    for (int64_t row = 0; row < n; row++) {
-        uint64_t* dst = values + ids[row] * num_words;
-        const uint64_t* a = values + f0v[row] * num_words;
-        const uint64_t* b = values + f1v[row] * num_words;
-        uint64_t m0 = f0m[row];
-        uint64_t m1 = f1m[row];
-        for (int64_t w = 0; w < num_words; w++)
-            dst[w] = (a[w] ^ m0) & (b[w] ^ m1);
-    }
-}
 
 /* ---- Priority-cut merge ---------------------------------------------- */
 
@@ -1447,20 +1428,6 @@ int64_t bg_resub_scan(const int64_t* args)
     free(added); free(tables); free(tfo); free(work);
     return status ? status : pos;
 }
-
-/* Dirty-bitmap conflict screen of the sweep-commit loop. */
-int bg_bitmap_any(const uint8_t* bitmap, const int64_t* idx, int64_t n)
-{
-    for (int64_t i = 0; i < n; i++)
-        if (bitmap[idx[i]]) return 1;
-    return 0;
-}
-
-void bg_bitmap_mark(uint8_t* bitmap, const int64_t* idx, int64_t n)
-{
-    for (int64_t i = 0; i < n; i++)
-        bitmap[idx[i]] = 1;
-}
 """
 
 
@@ -1539,9 +1506,9 @@ def build_library() -> str:
 class CcKernels:
     """ctypes bindings over the cc-built shared library.
 
-    Thin and policy-free: every method assumes the backend already checked
-    dtypes, contiguity and profitability.  Arrays are passed as raw data
-    pointers (the caller keeps them alive across the call).
+    Thin and policy-free: every method takes the address of an int64 args
+    block laid out as the kernel source documents, filled by the backend,
+    which checks every index and keeps the arrays alive across the call.
     """
 
     engine = "cc"
@@ -1550,8 +1517,6 @@ class CcKernels:
         lib = ctypes.CDLL(path)
         i64 = ctypes.c_int64
         ptr = ctypes.c_void_p
-        lib.bg_simulate_level_step.argtypes = [ptr, i64, ptr, ptr, ptr, ptr, ptr, i64]
-        lib.bg_simulate_level_step.restype = None
         lib.bg_local_cut_tables.argtypes = [ptr]
         lib.bg_local_cut_tables.restype = ctypes.c_int
         lib.bg_snapshot_cut_tables.argtypes = [ptr]
@@ -1562,63 +1527,28 @@ class CcKernels:
         lib.bg_refactor_cut_tables.restype = ctypes.c_int
         lib.bg_resub_scan.argtypes = [ptr]
         lib.bg_resub_scan.restype = i64
-        lib.bg_bitmap_any.argtypes = [ptr, ptr, i64]
-        lib.bg_bitmap_any.restype = ctypes.c_int
-        lib.bg_bitmap_mark.argtypes = [ptr, ptr, i64]
-        lib.bg_bitmap_mark.restype = None
         self._lib = lib
-        # Prebound function objects: the hot wrappers skip two attribute
-        # lookups per call, which matters at per-level and per-candidate
-        # call rates.
-        self._fn_simulate = lib.bg_simulate_level_step
-        self._fn_local_cuts = lib.bg_local_cut_tables
-        self._fn_snapshot_cuts = lib.bg_snapshot_cut_tables
-        self._fn_rewrite_scan = lib.bg_rewrite_scan
-        self._fn_refactor_cut_tables = lib.bg_refactor_cut_tables
-        self._fn_resub_scan = lib.bg_resub_scan
-        self._fn_bitmap_any = lib.bg_bitmap_any
-        self._fn_bitmap_mark = lib.bg_bitmap_mark
         self.path = path
-
-    def simulate_level_step(self, values, ids, f0v, f0m, f1v, f1m) -> None:
-        self._fn_simulate(
-            values.ctypes.data,
-            values.shape[1],
-            ids.ctypes.data,
-            f0v.ctypes.data,
-            f0m.ctypes.data,
-            f1v.ctypes.data,
-            f1m.ctypes.data,
-            ids.shape[0],
-        )
 
     def local_cut_tables(self, args_ptr: int) -> int:
         """Run ``bg_local_cut_tables`` on a filled args block (nonzero: failed)."""
-        return self._fn_local_cuts(args_ptr)
+        return self._lib.bg_local_cut_tables(args_ptr)
 
     def snapshot_cut_tables(self, args_ptr: int) -> int:
         """Run ``bg_snapshot_cut_tables`` on a filled args block (nonzero: failed)."""
-        return self._fn_snapshot_cuts(args_ptr)
+        return self._lib.bg_snapshot_cut_tables(args_ptr)
 
     def rewrite_scan(self, args_ptr: int) -> int:
         """Run ``bg_rewrite_scan`` on a filled args block: entries needed, or -1."""
-        return self._fn_rewrite_scan(args_ptr)
+        return self._lib.bg_rewrite_scan(args_ptr)
 
     def refactor_cut_tables(self, args_ptr: int) -> int:
         """Run ``bg_refactor_cut_tables`` on a filled args block (nonzero: failed)."""
-        return self._fn_refactor_cut_tables(args_ptr)
+        return self._lib.bg_refactor_cut_tables(args_ptr)
 
     def resub_scan(self, args_ptr: int) -> int:
         """Run ``bg_resub_scan`` on a filled args block: entries needed, or < 0."""
-        return self._fn_resub_scan(args_ptr)
-
-    def bitmap_any(self, bitmap, idx) -> bool:
-        return bool(
-            self._fn_bitmap_any(bitmap.ctypes.data, idx.ctypes.data, idx.shape[0])
-        )
-
-    def bitmap_mark(self, bitmap, idx) -> None:
-        self._fn_bitmap_mark(bitmap.ctypes.data, idx.ctypes.data, idx.shape[0])
+        return self._lib.bg_resub_scan(args_ptr)
 
 
 #: Cached engine resolution: (kernels-or-None, reason).  Keyed by the cache

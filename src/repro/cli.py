@@ -70,45 +70,10 @@ from repro.circuits.benchmarks import BENCHMARK_SPECS, available_benchmarks, loa
 from repro.engine.engine import Engine, load_design, save_design
 from repro.engine.evaluator import get_evaluator
 from repro.engine.pipeline import Pipeline
-from repro.engine.registry import create_pass, iter_passes, registered_names
+from repro.engine.registry import iter_passes
 from repro.flow.reporting import format_table
 from repro.orchestration.decision import DecisionVector
 from repro.orchestration.sampling import PriorityGuidedSampler, RandomSampler
-
-
-class _LegacyPassTable:
-    """Deprecated read-only view of the pass registry.
-
-    Kept so that pre-engine call sites (``from repro.cli import _PASSES;
-    _PASSES["rw"](aig)``) continue to work; new code should use
-    :func:`repro.engine.create_pass` / :class:`repro.engine.Pipeline`.
-    """
-
-    def __contains__(self, name: str) -> bool:
-        return name in registered_names()
-
-    def __getitem__(self, name: str):
-        if name not in registered_names():
-            raise KeyError(name)
-        return lambda aig, _name=name: create_pass(_name).run(aig)
-
-    def __iter__(self):
-        return iter(registered_names())
-
-    def __len__(self) -> int:
-        return len(registered_names())
-
-    def keys(self):
-        return list(registered_names())
-
-    def values(self):
-        return [self[name] for name in registered_names()]
-
-    def items(self):
-        return [(name, self[name]) for name in registered_names()]
-
-
-_PASSES = _LegacyPassTable()
 
 
 # --------------------------------------------------------------------------- #

@@ -4,7 +4,7 @@ Families are created idempotently by name (``REGISTRY.counter("x")`` twice
 returns the same family) and fan out into labeled children::
 
     _CALLS = REGISTRY.counter("backend_op_calls")
-    _CALLS.labels(backend="native", op="simulate_level_step").inc()
+    _CALLS.labels(backend="native", op="csr_aggregate").inc()
 
 Children are plain objects with one shared lock per registry; hot callers
 resolve their child once and keep the handle (label lookup is a dict get,

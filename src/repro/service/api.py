@@ -4,9 +4,8 @@ This module is the single source of truth for the client-visible contract of
 the synthesis service, introduced when the HTTP surface moved under
 versioned ``/v1/...`` paths:
 
-* :data:`API_VERSION` / :func:`versioned` — the route prefix.  Legacy
-  unversioned paths are kept as deprecated aliases (they answer with a
-  ``Deprecation: true`` header) so pre-v1 callers keep working.
+* :data:`API_VERSION` / :func:`versioned` — the route prefix.  A path
+  without it answers ``404`` (``not_found``).
 * :func:`error_payload` — the structured JSON error envelope
   ``{"error": {"code", "message", "job_id"}}`` every server-side failure is
   rendered as (no more bare status strings).  :data:`ERROR_CODES` enumerates
@@ -28,9 +27,6 @@ from typing import Any, Dict, Optional, Protocol, Union, runtime_checkable
 
 #: Current API version; all canonical routes live under this prefix.
 API_VERSION = "v1"
-
-#: Header (and value) legacy unversioned routes answer with.
-DEPRECATION_HEADER = "Deprecation"
 
 #: The error codes a server may put in the ``error.code`` field.
 ERROR_CODES = (

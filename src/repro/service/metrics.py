@@ -365,10 +365,11 @@ def prometheus_samples(
     Counters export as ``<prefix>_<name>_total`` (type ``counter``); gauges
     and the derived rates as gauges; every latency series as a Prometheus
     histogram (cumulative ``_bucket`` samples with ``le`` labels plus
-    ``_sum`` / ``_count``), with the windowed ``{quantile="..."}`` samples
-    kept alongside for dashboards that read the old summary form.  A
-    ``series`` key (a registry snapshot of engine/backend/store families) is
-    flattened via :func:`registry_samples`.  ``labels`` are attached to every
+    ``_sum`` / ``_count``); the windowed p50/p90/p99 stay in the JSON
+    snapshot, since the text format allows ``quantile`` samples only in
+    summary families.  A ``series`` key (a registry snapshot of
+    engine/backend/store families) is flattened via
+    :func:`registry_samples`.  ``labels`` are attached to every
     sample — the cluster router passes ``{"shard": name}`` so one scrape
     distinguishes the fleet members.
     """
@@ -383,16 +384,9 @@ def prometheus_samples(
         if rate in snapshot:
             rows.append((f"{PROMETHEUS_PREFIX}_{rate}", "gauge", base, float(snapshot[rate])))
     for series, summary in snapshot.get("latency", {}).items():
-        metric = f"{PROMETHEUS_PREFIX}_{series}"
-        for name, fraction in _QUANTILES.items():
-            quantile_labels = dict(labels or {})
-            quantile_labels["quantile"] = f"{fraction:g}"
-            rows.append(
-                (metric, "histogram", _label_string(quantile_labels), float(summary[name]))
-            )
         rows.extend(
             _histogram_rows(
-                metric,
+                f"{PROMETHEUS_PREFIX}_{series}",
                 summary.get("buckets", []),
                 summary.get("sum", 0.0),
                 summary["count"],

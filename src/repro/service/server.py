@@ -7,10 +7,9 @@ and the test-suite drive directly.
 
 :class:`ServiceServer` exposes a running service over HTTP using only
 :mod:`http.server` (``ThreadingHTTPServer`` — one thread per connection, no
-third-party dependencies).  All bodies are JSON; the canonical routes live
-under the versioned ``/v1`` prefix (:mod:`repro.service.api`), with the
-pre-v1 unversioned paths kept as deprecated aliases that answer identically
-plus a ``Deprecation: true`` header.  Failures are structured
+third-party dependencies).  All bodies are JSON; every route lives under
+the versioned ``/v1`` prefix (:mod:`repro.service.api`), and a path without
+it answers ``404`` (``not_found``).  Failures are structured
 ``{"error": {"code", "message", "job_id"}}`` envelopes, never bare strings:
 
 ``POST /v1/submit``
@@ -50,7 +49,7 @@ from urllib.parse import parse_qs, urlparse
 
 from repro.obs.metrics import REGISTRY, MetricsRegistry
 from repro.obs.trace import TRACEPARENT_HEADER, TRACER
-from repro.service.api import API_VERSION, DEPRECATION_HEADER, error_payload
+from repro.service.api import API_VERSION, error_payload
 from repro.service.jobs import DONE, FAILED, Job, JobSpec
 from repro.service.metrics import ServiceMetrics
 from repro.service.scheduler import QueueFull, Scheduler, UnknownJob
@@ -223,10 +222,9 @@ class JsonRequestHandler(BaseHTTPRequestHandler):
     """Shared plumbing of the service and router front ends.
 
     Subclasses implement ``handle_get(parts, query)`` / ``handle_post(parts,
-    body)`` against *version-stripped* path parts: :meth:`split_path` removes
-    the ``/v1`` prefix and remembers (per request) whether the caller used a
-    deprecated unversioned alias, in which case every response carries the
-    ``Deprecation: true`` header.
+    query)`` against *version-stripped* path parts: the ``/v1`` prefix is
+    removed before dispatch, and a path without it answers ``404``
+    (``not_found``) here.
     """
 
     server_version = "boolgebra-service/2.0"
@@ -239,22 +237,11 @@ class JsonRequestHandler(BaseHTTPRequestHandler):
         pass  # request logging is the metrics' job; keep stdio clean
 
     # Helpers ------------------------------------------------------------ #
-    def split_path(self, path: str) -> List[str]:
-        """Strip the API-version prefix; flag deprecated unversioned use."""
-        parts = [part for part in path.split("/") if part]
-        if parts and parts[0] == API_VERSION:
-            self._deprecated = False
-            return parts[1:]
-        self._deprecated = True
-        return parts
-
     def _send_bytes(self, code: int, body: bytes, content_type: str,
                     headers: Optional[Dict] = None) -> None:
         self.send_response(code)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
-        if getattr(self, "_deprecated", False):
-            self.send_header(DEPRECATION_HEADER, "true")
         for name, value in (headers or {}).items():
             self.send_header(name, value)
         self.end_headers()
@@ -311,12 +298,18 @@ class JsonRequestHandler(BaseHTTPRequestHandler):
 
     # Dispatch ------------------------------------------------------------ #
     def do_POST(self) -> None:  # noqa: N802 - http.server API
-        parsed = urlparse(self.path)
-        self.handle_post(self.split_path(parsed.path), parse_qs(parsed.query))
+        self._dispatch(self.handle_post)
 
     def do_GET(self) -> None:  # noqa: N802 - http.server API
+        self._dispatch(self.handle_get)
+
+    def _dispatch(self, handler) -> None:
         parsed = urlparse(self.path)
-        self.handle_get(self.split_path(parsed.path), parse_qs(parsed.query))
+        parts = [part for part in parsed.path.split("/") if part]
+        if parts[:1] != [API_VERSION]:
+            self._send_error(404, "not_found", f"unknown endpoint {parsed.path!r}")
+            return
+        handler(parts[1:], parse_qs(parsed.query))
 
     # Subclass surface ----------------------------------------------------- #
     def handle_post(self, parts: List[str], query: Dict) -> None:

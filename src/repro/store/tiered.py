@@ -27,6 +27,7 @@ The wire protocol is deliberately dumb — a keyed blob store::
     DELETE /v1/blob/{kind}/{filename}   -> 204 | 404
     GET    /v1/info                     -> per-kind entry/byte counts
     GET    /v1/healthz                  -> {"status": "ok"}
+    any other path                      -> 404
 
 served by :class:`StoreServer` straight from an ``ArtifactStore`` directory
 using only :mod:`http.server`, with :class:`HttpStoreClient` as the matching
@@ -299,10 +300,9 @@ class _StoreRequestHandler(BaseHTTPRequestHandler):
 
     @staticmethod
     def _split(path: str) -> List[str]:
+        """The path's parts after ``/v1``; none, an unknown endpoint, without it."""
         parts = [part for part in path.split("?", 1)[0].split("/") if part]
-        if parts and parts[0] == "v1":
-            parts = parts[1:]
-        return parts
+        return parts[1:] if parts[:1] == ["v1"] else []
 
     # Routes ------------------------------------------------------------- #
     def do_GET(self) -> None:  # noqa: N802 - http.server API

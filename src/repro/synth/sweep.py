@@ -41,11 +41,11 @@ the input network holds by construction; the test-suite additionally checks
 batched-vs-sequential equivalence and node-count monotonicity on randomized
 networks and on every registered benchmark.
 
-The numeric inner loops — cut enumeration, the rewrite scan, the window
-scans of refactoring and resubstitution, the conflict screen of the commit
-phase — dispatch through the selected compute backend
-(:mod:`repro.backend`), so the same sweep code runs on the pure numpy
-reference or on the native backend's compiled loops; the tracked
+The scoring loops — cut enumeration, the rewrite scan, the window scans of
+refactoring and resubstitution — feature-detect the selected compute
+backend's capability ops (:mod:`repro.backend`): the same sweep code runs
+compiled scans on the native backend and its Python loops otherwise.  The
+commit phase is one Python loop on every backend.  The tracked
 ``pass_sweep`` benchmark measures this engine on the native backend against
 the sequential drivers on the reference.
 """
@@ -57,7 +57,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro.aig.aig import Aig
+from repro.aig.aig import Aig, AigError
 from repro.aig.cuts import CutEnumerator
 from repro.aig.kernels import LevelizedAig, cached_topological_order, expand_region, levelized
 from repro.aig.simulate import random_patterns
@@ -597,13 +597,43 @@ def commit_candidates(
     if the fresh gain still clears the operation's bar.  ``conflicts``
     counts the candidates dropped by re-validation.  Returns
     ``(applied, dirty, conflicts)``.
-
-    Dispatches to the selected compute backend's ``sweep_commit`` op; the
-    canonical implementation lives in
-    :class:`repro.backend.reference.ReferenceBackend` and every backend is
-    gated byte-identical to it (post-sweep structure *and* journal).
     """
-    return get_backend().sweep_commit(aig, candidates)
+    order = sorted(candidates, key=lambda cand: (-cand.gain, cand.node))
+    dirty: Set[int] = set()
+    applied: List[TransformCandidate] = []
+    conflicts = 0
+    has_node = aig.has_node
+    for candidate in order:
+        if not has_node(candidate.node) or not aig.is_and(candidate.node):
+            continue
+        if not dirty.isdisjoint(candidate.footprint()):
+            fresh_gain = candidate.revalidate(aig)
+            if fresh_gain is None or fresh_gain < candidate.min_gain:
+                conflicts += 1
+                continue
+        elif not all(has_node(ref) for ref in candidate.refs):
+            # Referenced nodes (cut leaves, divisors) only need to be
+            # alive: commits preserve every surviving node's global
+            # function, so a touched-but-live reference still computes
+            # what it did when the candidate was scored.
+            conflicts += 1
+            continue
+        journal = aig.journal_begin()
+        try:
+            candidate.apply(aig)
+        except AigError:
+            # Resubstitution replacements can race into a cycle when
+            # distant commits re-routed the divisor's fanout cone; the
+            # replace() guard rejects them cleanly and the candidate is
+            # simply dropped.
+            pass
+        finally:
+            aig.journal_end()
+        dirty |= journal
+        if not (aig.has_node(candidate.node) and aig.is_and(candidate.node)):
+            # The root was consumed: the replacement really happened.
+            applied.append(candidate)
+    return applied, dirty, conflicts
 
 
 # --------------------------------------------------------------------------- #

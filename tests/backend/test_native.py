@@ -20,7 +20,6 @@ import pytest
 
 from repro.aig.cuts import CutEnumerator
 from repro.aig.random_aig import RandomAigSpec, random_aig
-from repro.aig.simulate import random_patterns, simulate_matrix
 from repro.backend import (
     OPS,
     create_backend,
@@ -78,10 +77,14 @@ def _degraded(monkeypatch):
     )
 
 
-def _counting(counter, op, function):
+def _counting(entered, declined, op, function):
+    """``function``, counting its calls and the calls that return None."""
+
     def counted(*args, **kwargs):
-        counter[op] += 1
-        return function(*args, **kwargs)
+        result = function(*args, **kwargs)
+        entered[op] += 1
+        declined[op] += result is None
+        return result
 
     return counted
 
@@ -94,6 +97,13 @@ def test_no_engine_reports_fallback_support(no_engine):
     assert set(support) >= set(OPS)
     for op in _OP_LABELS:
         assert support[op] == "fallback:reference(engines-unavailable)"
+
+
+def test_protocol_is_the_four_gnn_ops():
+    assert OPS == ("csr_aggregate", "csr_aggregate_t", "sage_layer_fused", "sage_layer_backward")
+    for backend in (ReferenceBackend, NativeBackend):
+        assert not hasattr(backend, "simulate_level_step")
+        assert not hasattr(backend, "sweep_commit")
 
 
 def test_native_overrides_every_protocol_op():
@@ -114,21 +124,16 @@ def test_degraded_native_script_runs_reference_code(degraded_native, monkeypatch
         return aiger_ascii(engine.aig)
 
     expected = optimized("reference")
-    # Every call of a compiled protocol op must land in the reference's own
-    # code.  (The capability ops have no reference counterpart: they return
-    # None.)
-    ops = set(_OP_LABELS) & set(OPS)
-    entered, served = Counter(), Counter()
-    for op in ops:
+    # Every capability op the script reaches must decline (return None), so
+    # its caller runs the Python loop the reference backend runs.
+    entered, declined = Counter(), Counter()
+    for op in _OP_LABELS:
         monkeypatch.setattr(
-            degraded_native, op, _counting(entered, op, getattr(degraded_native, op))
-        )
-        monkeypatch.setattr(
-            ReferenceBackend, op, _counting(served, op, getattr(ReferenceBackend, op))
+            degraded_native, op, _counting(entered, declined, op, getattr(degraded_native, op))
         )
     assert optimized("native") == expected
-    assert set(entered) == ops
-    assert served == entered
+    assert set(entered) >= {"snapshot_cut_tables", "refactor_cut_tables", "resub_scan"}
+    assert declined == entered
 
 
 def test_degraded_native_training_matches_reference(degraded_native):
@@ -158,18 +163,21 @@ def test_degraded_native_training_matches_reference(degraded_native):
 
 
 def test_no_engine_ops_identical_bytes(no_engine):
-    aig = random_aig(SPEC)
-    patterns = random_patterns(aig.num_pis(), 128, seed=5)
-    with use_backend("reference"):
-        expected = simulate_matrix(aig, patterns)
-    set_default_backend("reference")  # any ambient; the instance is explicit
-    from repro.aig.kernels import levelized
+    import scipy.sparse as sp
 
-    view = levelized(aig)
-    values = expected.copy()
-    for ids, f0v, f0m, f1v, f1m in view._level_ops:
-        no_engine.simulate_level_step(values, ids, f0v, f0m, f1v, f1m)
-    assert values.tobytes() == expected.tobytes()
+    rng = np.random.default_rng(5)
+    matrix = sp.random(40, 40, density=0.1, format="csr", random_state=5)
+    x = rng.normal(size=(40, 8))
+    reference = ReferenceBackend()
+    for key in (None, "k"):
+        assert (
+            no_engine.csr_aggregate(matrix, x, key=key).tobytes()
+            == reference.csr_aggregate(matrix, x).tobytes()
+        )
+        assert (
+            no_engine.csr_aggregate_t(matrix, x, key=key).tobytes()
+            == reference.csr_aggregate_t(matrix, x).tobytes()
+        )
 
 
 def test_no_engine_snapshot_cut_tables_returns_none_and_enumerate_falls_back(
@@ -204,8 +212,8 @@ def test_engine_labels_ops_when_available():
     backend = NativeBackend()
     support = backend.op_support()
     assert backend.engine_name() == kernels.engine
-    assert support["sweep_commit"] == f"{kernels.engine}:bitmap-conflict-screen"
     assert support["snapshot_cut_tables"] == f"{kernels.engine}:whole-snapshot-cuts"
+    assert support["resub_scan"] == f"{kernels.engine}:window-resub-scan"
 
 
 def test_engine_leaves_no_op_on_fallback():
@@ -261,13 +269,13 @@ def test_enumerate_scalar_fallback_above_kernel_cap_under_live_engine(monkeypatc
 # Compile cache + prewarm
 # --------------------------------------------------------------------------- #
 def test_auto_is_native_without_a_compiler(fresh_cache, monkeypatch):
-    # No compiler and an empty cache: auto still resolves to native, which
-    # then serves every compiled op from the reference code.
+    # No compiler and an empty cache: auto still resolves to native, whose
+    # capability ops then decline to the Python loops.
     monkeypatch.setattr(native_kernels, "find_compiler", lambda: None)
     assert create_backend("auto").name == "native"
     backend = NativeBackend()
     assert backend.engine_name() is None
-    assert backend.op_support()["sweep_commit"] == "fallback:reference(cc: RuntimeError)"
+    assert backend.op_support()["snapshot_cut_tables"] == "fallback:reference(cc: RuntimeError)"
 
 
 def test_cc_cache_artifact_created_and_reused(fresh_cache, monkeypatch):

@@ -93,22 +93,6 @@ def test_legacy_pass_functions_match_registry(example_aig):
     assert via_function.size == via_registry.size
 
 
-def test_legacy_cli_pass_table_shim(example_aig):
-    from repro.cli import _PASSES
-
-    assert "rw" in _PASSES and "balance" in _PASSES
-    assert "magic" not in _PASSES
-    stats = _PASSES["rw"](example_aig.copy())
-    assert stats.size_after <= stats.size_before
-    with pytest.raises(KeyError):
-        _PASSES["magic"]
-    assert "rw" in _PASSES.keys()
-    # The shim honours the rest of the mapping protocol old call sites used.
-    assert len(_PASSES) == len(list(_PASSES)) > 0
-    assert dict(_PASSES.items()).keys() == set(_PASSES.keys())
-    assert all(callable(runner) for runner in _PASSES.values())
-
-
 def test_legacy_load_save_design_reexports():
     from repro.cli import load_design, save_design
     from repro.engine import load_design as engine_load, save_design as engine_save

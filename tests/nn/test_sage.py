@@ -3,6 +3,7 @@
 import numpy as np
 import scipy.sparse as sp
 
+from repro.backend import create_backend
 from repro.nn.sage import SageConv
 
 
@@ -86,3 +87,22 @@ def test_gradients_match_numeric():
             parameter.value[index] = original
             numeric[index] = (plus - minus) / (2 * eps)
         assert np.allclose(parameter.grad, numeric, atol=1e-5), parameter.name
+
+
+def _two_layer_gradients(backend_name):
+    rng = np.random.default_rng(3)
+    layers = [SageConv(4, 4, rng=rng) for _ in range(2)]
+    x = rng.normal(size=(6, 4))
+    grad = rng.normal(size=(6, 4))
+    aggregation = _line_graph_aggregation(6)
+    backend = create_backend(backend_name)
+    hidden = layers[0].forward(x, aggregation, backend=backend)
+    layers[1].forward(hidden, aggregation, backend=backend)
+    layers[0].backward(layers[1].backward(grad, backend=backend), backend=backend)
+    return [parameter.grad.tobytes() for layer in layers for parameter in layer.parameters()]
+
+
+def test_two_equal_width_layers_keep_their_own_neighbours():
+    # Both layers aggregate over one operator at one width: the first layer's
+    # cached neighbour mean must survive the second layer's forward.
+    assert _two_layer_gradients("native") == _two_layer_gradients("reference")

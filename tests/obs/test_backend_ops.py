@@ -62,4 +62,4 @@ def test_proxy_has_no_capability_op_the_backend_lacks():
     assert getattr(proxy, "snapshot_cut_tables", None) is None
     assert getattr(proxy, "rewrite_scan", None) is None
     assert getattr(proxy, "local_cut_tables", None) is None
-    assert callable(proxy.sweep_commit)
+    assert callable(proxy.csr_aggregate)

@@ -1,12 +1,13 @@
-"""The versioned HTTP API: /v1 routes, legacy aliases, structured errors.
+"""The versioned HTTP API: /v1 routes, structured errors, the scrape format.
 
-The pre-v1 unversioned paths must keep answering byte-identically (modulo
-the ``Deprecation`` header) so deployed clients survive the redesign, and
-every failure body must carry the structured
+Every route lives under ``/v1``: a path without the prefix answers 404 on the
+service, the router and the store server.  Every failure body of the service
+and the router carries the structured
 ``{"error": {"code", "message", "job_id"}}`` envelope.
 """
 
 import json
+import re
 import urllib.error
 import urllib.request
 
@@ -15,18 +16,20 @@ import pytest
 from repro.service import (
     HttpServiceClient,
     JobSpec,
+    Router,
+    RouterServer,
     ServiceServer,
     SynthesisService,
 )
 from repro.service.api import (
     API_VERSION,
-    DEPRECATION_HEADER,
     ERROR_CODES,
     error_fields,
     error_payload,
     versioned,
 )
 from repro.service.scheduler import CoalescingQueue, Scheduler
+from repro.store import StoreServer
 
 SPEC = {"kind": "selftest", "options": {"payload": "v1"}}
 
@@ -38,10 +41,18 @@ def server():
         yield running
 
 
-def _get(server, path):
-    """(status, headers, parsed body) of a GET without client-side sugar."""
+@pytest.fixture()
+def router(server):
+    """A router front end over the module's one service shard."""
+    with RouterServer(Router({"s0": server.url}), port=0) as running:
+        yield running
+
+
+def _get(server, path, method="GET", data=None):
+    """(status, headers, parsed body) of a request without client-side sugar."""
+    request = urllib.request.Request(server.url + path, data=data, method=method)
     try:
-        with urllib.request.urlopen(server.url + path, timeout=30.0) as response:
+        with urllib.request.urlopen(request, timeout=30.0) as response:
             return response.status, dict(response.headers), json.loads(response.read())
     except urllib.error.HTTPError as error:
         return error.code, dict(error.headers), json.loads(error.read())
@@ -56,34 +67,29 @@ def test_versioned_helper_and_api_version():
 def test_v1_routes_answer_without_deprecation_header(server):
     status, headers, body = _get(server, "/v1/healthz")
     assert status == 200 and body == {"status": "ok"}
-    assert DEPRECATION_HEADER not in headers
+    assert "Deprecation" not in headers
 
 
-def test_legacy_unversioned_routes_alias_v1_with_deprecation(server):
-    client = HttpServiceClient(server.url)
-    job_id = client.submit(SPEC)["job_id"]
-    client.result(job_id, timeout=30.0)
-
-    for path in ("/healthz", "/metrics", f"/status/{job_id}", f"/result/{job_id}"):
-        legacy_status, legacy_headers, legacy_body = _get(server, path)
-        v1_status, v1_headers, v1_body = _get(server, "/v1" + path)
-        assert legacy_status == v1_status
-        assert legacy_body == v1_body  # identical answers, old or new path
-        assert legacy_headers.get(DEPRECATION_HEADER) == "true"
-        assert DEPRECATION_HEADER not in v1_headers
-
-
-def test_legacy_submit_still_accepts_posts(server):
-    request = urllib.request.Request(
-        server.url + "/submit",
-        data=json.dumps(SPEC).encode("ascii"),
-        headers={"Content-Type": "application/json"},
-    )
-    with urllib.request.urlopen(request, timeout=30.0) as response:
-        assert response.status == 202
-        assert response.headers.get(DEPRECATION_HEADER) == "true"
-        snapshot = json.loads(response.read())
-    assert snapshot["job_id"].startswith("selftest-")
+def test_unversioned_paths_answer_not_found(server, router, tmp_path):
+    body = json.dumps(SPEC).encode("ascii")
+    for front in (server, router):
+        assert _get(front, "/v1/healthz")[0] == 200
+        for method, path in (
+            ("GET", "/healthz"), ("GET", "/metrics"), ("GET", "/status/x"),
+            ("GET", "/result/x"), ("GET", "/trace/x"), ("GET", "/shards"),
+            ("POST", "/submit"),
+        ):
+            status, _, payload = _get(front, path, method, body if method == "POST" else None)
+            assert status == 404 and payload["error"]["code"] == "not_found", (front, path)
+    with StoreServer(str(tmp_path)) as store:
+        assert _get(store, "/v1/healthz")[0] == 200
+        for method, path in (
+            ("GET", "/healthz"), ("GET", "/info"), ("GET", "/blob/samples/x.json"),
+            ("PUT", "/blob/samples/x.json"), ("DELETE", "/blob/samples/x.json"),
+        ):
+            status, _, payload = _get(store, path, method, b"{}" if method == "PUT" else None)
+            assert status == 404 and payload == {"error": "unknown endpoint"}, path
+        assert not (tmp_path / "samples").exists()
 
 
 def test_errors_carry_the_structured_envelope(server):
@@ -129,32 +135,41 @@ def test_prometheus_metrics_variant(server):
         assert response.headers["Content-Type"].startswith("text/plain")
         text = response.read().decode("utf-8")
     assert "# TYPE boolgebra_submitted_total counter" in text
-    assert "boolgebra_total_seconds" in text and 'quantile="0.5"' in text
+    assert "boolgebra_total_seconds" in text
     assert text.count("# TYPE boolgebra_submitted_total counter") == 1
 
 
-def test_legacy_prometheus_metrics_variant_is_deprecated_alias(server):
-    # The unversioned alias honors ?format=prometheus too (version-prefix
-    # stripping happens before the format switch) and flags its deprecation.
-    request = urllib.request.Request(server.url + "/metrics?format=prometheus")
-    with urllib.request.urlopen(request, timeout=30.0) as response:
-        assert response.status == 200
-        assert response.headers["Content-Type"].startswith("text/plain")
-        assert response.headers.get(DEPRECATION_HEADER) == "true"
-        legacy_text = response.read().decode("utf-8")
-    assert "# TYPE boolgebra_submitted_total counter" in legacy_text
-    # Same exposition format as the canonical /v1 route (values may move
-    # between the two scrapes, the family set must not).
-    request = urllib.request.Request(server.url + "/v1/metrics?format=prometheus")
-    with urllib.request.urlopen(request, timeout=30.0) as response:
-        v1_families = {
-            line.split()[2] for line in response.read().decode("utf-8").splitlines()
-            if line.startswith("# TYPE")
-        }
-    legacy_families = {
-        line.split()[2] for line in legacy_text.splitlines() if line.startswith("# TYPE")
-    }
-    assert legacy_families == v1_families
+_SAMPLE = re.compile(r"^([a-zA-Z_:][a-zA-Z0-9_:]*)(?:\{(.*)\})? (\S+)$")
+_LABEL = re.compile(r'([a-zA-Z_][a-zA-Z0-9_]*)="((?:[^"\\]|\\.)*)"')
+
+
+def _histogram_violations(text):
+    """(histogram families, samples of them that are not _bucket{le}, _sum, _count)."""
+    histograms, bad = set(), []
+    for line in text.splitlines():
+        if line.startswith("# TYPE "):
+            _, _, family, kind = line.split()
+            if kind == "histogram":
+                histograms.add(family)
+            continue
+        name, labels, _value = _SAMPLE.match(line).groups()
+        keys = {key for key, _ in _LABEL.findall(labels or "")}
+        for suffix in ("_bucket", "_sum", "_count", ""):
+            family = name[: len(name) - len(suffix)]
+            if name.endswith(suffix) and family in histograms:
+                if not suffix or "quantile" in keys or (suffix == "_bucket") != ("le" in keys):
+                    bad.append(line)
+                break
+    return histograms, bad
+
+
+def test_prometheus_histogram_families_hold_only_histogram_samples(server, router):
+    for front in (server, router):
+        client = HttpServiceClient(front.url)
+        client.result(client.submit(SPEC)["job_id"], timeout=30.0)
+        histograms, bad = _histogram_violations(client.metrics_prometheus())
+        assert "boolgebra_total_seconds" in histograms
+        assert bad == []
 
 
 def test_prometheus_latency_histograms_have_real_buckets(server):
