@@ -26,9 +26,9 @@ Op vocabulary
 ===========================  =================================================
 
 Beyond the vocabulary, the native backend offers *capability* ops that
-replace whole Python loops of the sweep scorers.  Callers feature-detect
-them with ``getattr`` and run the Python loop when one is missing or returns
-``None``; the test-suite holds each to that loop:
+replace whole Python loops of the sweep scorers and of fragment synthesis.
+Callers feature-detect them with ``getattr`` and run the Python loop when
+one is missing or returns ``None``; the test-suite holds each to that loop:
 
 ===========================  =================================================
 ``snapshot_cut_tables``      every priority cut of a snapshot with its truth
@@ -41,6 +41,9 @@ them with ``getattr`` and run the Python loop when one is missing or returns
                              tables (refactor scoring)
 ``resub_scan``               the windowed 0/1/2-resub matching (resub
                              scoring)
+``factored_fragment``        ISOP, quick factoring and the balanced-AND
+                             fragment of one truth table (a miss of the
+                             refactoring fragment memo)
 ===========================  =================================================
 
 Selection is handled by :mod:`repro.backend.registry`

@@ -3,15 +3,16 @@
 The one fast backend, layered directly on :class:`ReferenceBackend`.  It
 offers two groups of ops:
 
-* **Compiled integer loops** — five capability ops, each replacing a whole
+* **Compiled integer loops** — six capability ops.  Five replace a whole
   Python loop of the sweep scorers: the whole-snapshot priority cuts with
   their truth tables and the MFFC-ordered fragment dry-run scan of global
   rewrite scoring (the scan also serves refactoring), the local-region cuts
   (with their truth tables) of small rescore sets, the reconvergence-driven
   cuts with their truth tables of refactoring, and the windowed
-  resubstitution scan.  They run in :mod:`repro.backend.native_kernels`, a
-  small C source built once with the system compiler into a shared library
-  loaded via ctypes.
+  resubstitution scan.  The sixth synthesizes one refactoring fragment (ISOP,
+  quick factoring and the balanced-AND build) per fragment-memo miss.  They
+  run in :mod:`repro.backend.native_kernels`, a small C source built once
+  with the system compiler into a shared library loaded via ctypes.
 * **GNN float ops** — the GraphSAGE aggregation ``A @ X`` and its
   transposed backward product go straight to scipy's raw ``csr_matvecs`` on
   cached CSR (and cached transposed-CSR) arrays, and the fused GraphSAGE
@@ -34,6 +35,7 @@ holds by construction and is enforced by ``tests/backend``.
 
 from __future__ import annotations
 
+import ctypes
 import threading
 from itertools import chain
 from typing import Any, Dict, List, Optional, Tuple
@@ -42,6 +44,7 @@ import numpy as np
 
 from repro.backend import native_kernels
 from repro.backend.reference import ReferenceBackend
+from repro.synth.fragment import Fragment
 
 try:  # Optional: raw CSR SpMM kernels (scipy is a repo dependency, but the
     # private _sparsetools module is probed defensively per-op anyway).
@@ -57,12 +60,17 @@ except Exception:  # pragma: no cover - exercised only without scipy
 #: limit, so their truth tables span at most 14 variables (256 words).
 _WINDOW_LEAVES = 12
 
+#: The fragment kernel's input limit (``BG_FRAGMENT_VARS``): a cube packs
+#: its positive and negative literal masks into 32 bits.
+_FRAGMENT_VARS = 16
+
 _OP_LABELS = {
     "snapshot_cut_tables": "whole-snapshot-cuts",
     "rewrite_scan": "mffc-ordered-dry-run",
     "local_cut_tables": "local-region-cuts",
     "refactor_cut_tables": "reconvergent-cut-tables",
     "resub_scan": "window-resub-scan",
+    "factored_fragment": "isop-factor-fragment",
 }
 
 
@@ -530,6 +538,40 @@ class NativeBackend(ReferenceBackend):
                 bool(bits & 1),
             )
         return found, pending
+
+    # ------------------------------------------------------------------ #
+    # Refactoring synthesis
+    # ------------------------------------------------------------------ #
+    def factored_fragment(self, table, num_vars):
+        """The refactoring fragment of ``table`` over ``num_vars`` inputs, or ``None``.
+
+        Capability beyond the portable op vocabulary, feature-detected by
+        :func:`repro.synth.refactor.refactor_fragment` on a memo miss: the
+        :class:`~repro.synth.fragment.Fragment` of
+        ``repro.synth.refactor._factor_both_polarities`` from one compiled
+        call, which runs the Minato–Morreale ISOP of the table and of its
+        complement, quick-factors each and builds it into balanced ANDs, and
+        keeps the smaller fragment (the positive one on a tie).  ``None`` —
+        no compiled engine, or fewer than 1 or more than 16 inputs — sends
+        the caller to the Python chain.
+        """
+        kernels = self._kernels()
+        if kernels is None or not 1 <= num_vars <= _FRAGMENT_VARS:
+            return None
+        table &= (1 << (1 << num_vars)) - 1
+        words = table.to_bytes(8 * _table_words(num_vars), "little")
+        capacity = 256
+        while True:
+            # The output literal, then two fanin literals per node.
+            out = (ctypes.c_int64 * (2 * capacity + 1))()
+            count = kernels.factored_fragment(words, num_vars, out, capacity)
+            if count < 0:  # pragma: no cover - out of memory
+                return None
+            if count <= capacity:
+                break
+            capacity = count
+        values = out[: 2 * count + 1]
+        return Fragment(num_vars, list(zip(values[1::2], values[2::2])), values[0])
 
     # ------------------------------------------------------------------ #
     # GNN training

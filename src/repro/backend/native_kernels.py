@@ -1428,6 +1428,357 @@ int64_t bg_resub_scan(const int64_t* args)
     free(added); free(tables); free(tfo); free(work);
     return status ? status : pos;
 }
+
+/* ---- Refactoring fragments: ISOP, quick factoring, balanced ANDs ----- */
+
+/* The fragment kernel's input limit: a cube is its positive literal mask
+ * ORed with its negative one shifted up by BG_FRAGMENT_VARS. */
+#define BG_FRAGMENT_VARS 16
+
+/* An ISOP under way: the cover's cubes in the order they are appended,
+ * and a stack of table words for the recursion's scratch rows. */
+typedef struct {
+    uint32_t* cubes;
+    int64_t count, cap;
+    uint64_t* words;
+    int64_t top, words_cap;
+    int err;
+} bg_isop_t;
+
+/* Is t, a table of k variables, all ones? */
+static int bg_table_full(const uint64_t* t, int64_t k)
+{
+    uint64_t mask = bg_table_mask(k);
+    for (int64_t w = 0; w < BG_TABLE_WORDS(k); w++)
+        if (t[w] != mask) return 0;
+    return 1;
+}
+
+/* Does t, a table of k variables, depend on variable v? */
+static int bg_table_depends(const uint64_t* t, int64_t k, int64_t v)
+{
+    if (v < 6) {
+        uint64_t negative = ~BG_VAR_TABLES[v];
+        for (int64_t w = 0; w < BG_TABLE_WORDS(k); w++)
+            if ((t[w] ^ (t[w] >> (1 << v))) & negative) return 1;
+        return 0;
+    }
+    int64_t stride = (int64_t)1 << (v - 6);
+    for (int64_t w = 0; w < BG_TABLE_WORDS(k); w++)
+        if (!(w & stride) && t[w] != t[w + stride]) return 1;
+    return 0;
+}
+
+/* The step of repro.synth.isop.isop_pairs at var = k - 1, on bounds of k
+ * variables (a table is independent of the variables its step has split
+ * off or skipped, so it shrinks to the ones left): appends the cover's
+ * cubes to s->cubes in the step's order and writes the cover's table, of
+ * k variables, to t.  The step splits on the top-most variable either
+ * bound depends on; its cofactors are the halves of the bounds. */
+static void bg_isop(bg_isop_t* s, const uint64_t* lower, const uint64_t* upper, int64_t k,
+                    uint64_t* t)
+{
+    int64_t words = BG_TABLE_WORDS(k);
+    uint64_t mask = bg_table_mask(k);
+    int64_t split = k - 1;
+    int zero = 1;
+    for (int64_t w = 0; w < words; w++) zero &= lower[w] == 0;
+    if (zero || s->err) {
+        memset(t, 0, words * sizeof(uint64_t));
+        return;
+    }
+    int full = bg_table_full(upper, k);
+    while (!full && split >= 0 && !bg_table_depends(lower, k, split)
+           && !bg_table_depends(upper, k, split))
+        split--;
+    if (full || split < 0) {
+        if (s->count == s->cap) {
+            uint32_t* grown = realloc(s->cubes, 2 * s->cap * sizeof(uint32_t));
+            if (!grown) {
+                s->err = 1;
+                return;
+            }
+            s->cubes = grown;
+            s->cap *= 2;
+        }
+        s->cubes[s->count++] = 0;
+        for (int64_t w = 0; w < words; w++) t[w] = mask;
+        return;
+    }
+    int64_t half = BG_TABLE_WORDS(split);
+    if (s->top + 5 * half > s->words_cap) {  /* never: the stack is sized for the depth */
+        s->err = 1;
+        return;
+    }
+    uint64_t* a = s->words + s->top;
+    uint64_t* b = a + half;
+    uint64_t* t0 = b + half;
+    uint64_t* t1 = t0 + half;
+    uint64_t* t2 = t1 + half;
+    s->top += 5 * half;
+    uint64_t cofactors[4];
+    const uint64_t *l0 = lower, *l1 = lower + half, *u0 = upper, *u1 = upper + half;
+    if (split < 6) {
+        uint64_t low = bg_table_mask(split), both = bg_table_mask(split + 1);
+        cofactors[0] = lower[0] & low;
+        cofactors[1] = (lower[0] & both) >> (1 << split);
+        cofactors[2] = upper[0] & low;
+        cofactors[3] = (upper[0] & both) >> (1 << split);
+        l0 = cofactors;
+        l1 = cofactors + 1;
+        u0 = cofactors + 2;
+        u1 = cofactors + 3;
+    }
+    /* Minterms only the negative, then only the positive cofactor can
+     * cover, then the rest with cubes free of the split variable. */
+    int64_t first = s->count;
+    for (int64_t w = 0; w < half; w++) a[w] = l0[w] & ~u1[w];
+    bg_isop(s, a, u0, split, t0);
+    for (int64_t i = first; i < s->count; i++) s->cubes[i] |= 1u << (split + BG_FRAGMENT_VARS);
+    first = s->count;
+    for (int64_t w = 0; w < half; w++) a[w] = l1[w] & ~u0[w];
+    bg_isop(s, a, u1, split, t1);
+    for (int64_t i = first; i < s->count; i++) s->cubes[i] |= 1u << split;
+    for (int64_t w = 0; w < half; w++) {
+        a[w] = (l0[w] & ~t0[w]) | (l1[w] & ~t1[w]);
+        b[w] = u0[w] & u1[w];
+    }
+    bg_isop(s, a, b, split, t2);
+    /* The cover's table over split + 1 variables, repeated up to k. */
+    if (split >= 6) {
+        for (int64_t w = 0; w < half; w++) {
+            t[w] = t0[w] | t2[w];
+            t[half + w] = t1[w] | t2[w];
+        }
+        for (int64_t w = 2 * half; w < words; w++) t[w] = t[w - 2 * half];
+    } else {
+        uint64_t x = t0[0] | t2[0] | (t1[0] | t2[0]) << (1 << split);
+        for (int64_t v = split + 1; v < k && v < 6; v++) x |= x << (1 << v);
+        for (int64_t w = 0; w < words; w++) t[w] = x;
+    }
+    s->top -= 5 * half;
+}
+
+/* A fragment under construction, as Fragment.from_expression builds it:
+ * nodes as fanin literal pairs and its local structural hash, open
+ * addressing over slots that hold a node index + 1 (0: empty).  Adding a
+ * node that would bring it to limit nodes sets err to 2; err 1 means out
+ * of memory. */
+typedef struct {
+    int64_t leaves, count, cap, limit, buckets;
+    int64_t* nodes;
+    int64_t* slots;
+    int err;
+} bg_frag_t;
+
+/* The slot of the node (a, b), or the empty slot where it goes. */
+static int64_t bg_frag_slot(const bg_frag_t* f, int64_t a, int64_t b)
+{
+    int64_t h = (int64_t)(bg_pair_hash(a, b) & (uint64_t)(f->buckets - 1));
+    while (f->slots[h]) {
+        int64_t i = f->slots[h] - 1;
+        if (f->nodes[2 * i] == a && f->nodes[2 * i + 1] == b) break;
+        h = (h + 1) & (f->buckets - 1);
+    }
+    return h;
+}
+
+/* Room for cap nodes (the hash at twice that); nonzero when out of memory. */
+static int bg_frag_reserve(bg_frag_t* f, int64_t cap)
+{
+    int64_t* nodes = realloc(f->nodes, 2 * cap * sizeof(int64_t));
+    if (!nodes) return 1;
+    f->nodes = nodes;
+    int64_t* slots = calloc(2 * cap, sizeof(int64_t));
+    if (!slots) return 1;
+    free(f->slots);
+    f->slots = slots;
+    f->buckets = 2 * cap;
+    f->cap = cap;
+    for (int64_t i = 0; i < f->count; i++)
+        f->slots[bg_frag_slot(f, f->nodes[2 * i], f->nodes[2 * i + 1])] = i + 1;
+    return 0;
+}
+
+/* Fragment.add_and with its local structural hash. */
+static int64_t bg_frag_and(bg_frag_t* f, int64_t a, int64_t b)
+{
+    int64_t found = bg_trivial_and(a, b);
+    if (found >= 0 || f->err) return found >= 0 ? found : 0;
+    if (a > b) {
+        found = a;
+        a = b;
+        b = found;
+    }
+    int64_t h = bg_frag_slot(f, a, b);
+    if (f->slots[h]) return (f->leaves + f->slots[h]) << 1;
+    if (f->count + 1 >= f->limit) {
+        f->err = 2;
+        return 0;
+    }
+    if (f->count == f->cap) {
+        if (bg_frag_reserve(f, 2 * f->cap)) {
+            f->err = 1;
+            return 0;
+        }
+        h = bg_frag_slot(f, a, b);
+    }
+    f->nodes[2 * f->count] = a;
+    f->nodes[2 * f->count + 1] = b;
+    f->slots[h] = ++f->count;
+    return (f->leaves + f->count) << 1;
+}
+
+/* repro.synth.fragment._balanced_and, level by level in place. */
+static int64_t bg_frag_balanced(bg_frag_t* f, int64_t* lits, int64_t n)
+{
+    if (n == 0) return 1;
+    while (n > 1) {
+        int64_t m = 0;
+        for (int64_t i = 0; i + 1 < n; i += 2) lits[m++] = bg_frag_and(f, lits[i], lits[i + 1]);
+        if (n & 1) lits[m++] = lits[n - 1];
+        n = m;
+    }
+    return lits[0];
+}
+
+/* The literal of repro.synth.factor._cube_expr(cube): its literals in
+ * increasing variable order, balanced. */
+static int64_t bg_frag_cube(bg_frag_t* f, uint32_t cube)
+{
+    int64_t lits[BG_FRAGMENT_VARS];
+    int64_t n = 0;
+    for (int64_t v = 0; v < BG_FRAGMENT_VARS; v++) {
+        int64_t negative = (cube >> (v + BG_FRAGMENT_VARS)) & 1;
+        if (negative || ((cube >> v) & 1)) lits[n++] = ((v + 1) << 1) | negative;
+    }
+    return bg_frag_balanced(f, lits, n);
+}
+
+/* repro.synth.factor.factor_pairs of cubes[0..n), built into f in the
+ * post-order of Fragment.from_expression: every operand's nodes before the
+ * node that joins them.  The cubes are rewritten in place (a division
+ * moves its quotient before its remainder); scratch holds n cubes and lits
+ * n literals. */
+static int64_t bg_factor(bg_frag_t* f, uint32_t* cubes, int64_t n, uint32_t* scratch,
+                         int64_t* lits)
+{
+    if (n == 0 || f->err) return 0;
+    uint32_t common = ~0u;
+    for (int64_t i = 0; i < n; i++) {
+        if (!cubes[i]) return 1;
+        common &= cubes[i];
+    }
+    if (n == 1) return bg_frag_cube(f, cubes[0]);
+    if (common) {
+        int64_t head = bg_frag_cube(f, common);
+        for (int64_t i = 0; i < n; i++) cubes[i] ^= common;
+        return bg_frag_and(f, head, bg_factor(f, cubes, n, scratch, lits));
+    }
+    /* The most frequent literal, if it appears more than once; ties go to
+     * the lower variable, then to the positive literal. */
+    int64_t counts[2 * BG_FRAGMENT_VARS] = {0};
+    for (int64_t i = 0; i < n; i++)
+        for (int64_t l = 0; l < 2 * BG_FRAGMENT_VARS; l++) counts[l] += (cubes[i] >> l) & 1;
+    int64_t best = -1, best_count = 1;
+    for (int64_t v = 0; v < BG_FRAGMENT_VARS; v++) {
+        for (int64_t l = v; l < 2 * BG_FRAGMENT_VARS; l += BG_FRAGMENT_VARS) {
+            if (counts[l] > best_count) {
+                best = l;
+                best_count = counts[l];
+            }
+        }
+    }
+    if (best < 0) {  /* no sharing: the flat OR of the cubes */
+        for (int64_t i = 0; i < n; i++) lits[i] = bg_frag_cube(f, cubes[i]) ^ 1;
+        return bg_frag_balanced(f, lits, n) ^ 1;
+    }
+    uint32_t bit = 1u << best;
+    int64_t q = 0, r = 0;
+    for (int64_t i = 0; i < n; i++) {
+        if (cubes[i] & bit) cubes[q++] = cubes[i] ^ bit;
+        else scratch[r++] = cubes[i];
+    }
+    memcpy(cubes + q, scratch, r * sizeof(uint32_t));
+    int64_t literal = ((best % BG_FRAGMENT_VARS + 1) << 1) | (best >= BG_FRAGMENT_VARS);
+    int64_t divided = bg_frag_and(f, literal, bg_factor(f, cubes, q, scratch, lits));
+    if (r == 0) return divided;
+    int64_t rest = bg_factor(f, cubes + q, r, scratch, lits);
+    return bg_frag_and(f, divided ^ 1, rest ^ 1) ^ 1;
+}
+
+/* One polarity: the ISOP of the table (n variables) factored into f;
+ * returns the fragment's output literal. */
+static int64_t bg_polarity(bg_isop_t* s, bg_frag_t* f, const uint64_t* table, int64_t n)
+{
+    s->count = 0;
+    s->top = BG_TABLE_WORDS(n);  /* words[0..top) take the cover's table */
+    bg_isop(s, table, table, n, s->words);
+    uint32_t* scratch = malloc((s->count + 1) * sizeof(uint32_t));
+    int64_t* lits = malloc((s->count + 1) * sizeof(int64_t));
+    int64_t output = 0;
+    if (s->err || !scratch || !lits) f->err = 1;
+    else output = bg_factor(f, s->cubes, s->count, scratch, lits);
+    free(scratch);
+    free(lits);
+    return output;
+}
+
+/* repro.synth.refactor._factor_both_polarities of the table of n variables
+ * (1..BG_FRAGMENT_VARS, BG_TABLE_WORDS(n) little-endian words, masked):
+ * the table and its complement each through the ISOP, quick factoring and
+ * the balanced-AND build; the complement's fragment, with its output
+ * inverted, wins only with fewer nodes, so its build stops once it has as
+ * many.  out[0] gets the output literal, and out[1 + 2i], out[2 + 2i] the
+ * fanins of node i when the nodes fit capacity.  Returns the node count
+ * (call again with a larger buffer when it exceeds capacity), or -1 when
+ * the work arrays cannot be allocated.  All state is per call. */
+int64_t bg_factored_fragment(const void* table, int64_t n, int64_t* out, int64_t capacity)
+{
+    int64_t words = BG_TABLE_WORDS(n);
+    bg_isop_t s = {0};
+    bg_frag_t fragments[2] = {{0}, {0}};
+    s.cap = 64;
+    s.cubes = malloc(s.cap * sizeof(uint32_t));
+    s.words_cap = 7 * words + 64;
+    s.words = malloc(s.words_cap * sizeof(uint64_t));
+    uint64_t* tables = malloc(2 * words * sizeof(uint64_t));
+    int err = !s.cubes || !s.words || !tables;
+    for (int p = 0; p < 2 && !err; p++) {
+        fragments[p].leaves = n;
+        fragments[p].limit = INT64_MAX;
+        err = bg_frag_reserve(&fragments[p], 64);
+    }
+    int64_t output = 0, best = 0;
+    if (!err) {
+        memcpy(tables, table, words * sizeof(uint64_t));
+        output = bg_polarity(&s, &fragments[0], tables, n);
+        err = fragments[0].err;
+    }
+    if (!err && fragments[0].count > 0) {
+        for (int64_t w = 0; w < words; w++) tables[words + w] = tables[w] ^ bg_table_mask(n);
+        fragments[1].limit = fragments[0].count;
+        int64_t negative = bg_polarity(&s, &fragments[1], tables + words, n);
+        err = fragments[1].err == 1;
+        if (!fragments[1].err) {
+            best = 1;
+            output = negative ^ 1;
+        }
+    }
+    int64_t count = err ? -1 : fragments[best].count;
+    if (!err) {
+        out[0] = output;
+        if (count <= capacity) memcpy(out + 1, fragments[best].nodes, 2 * count * sizeof(int64_t));
+    }
+    for (int p = 0; p < 2; p++) {
+        free(fragments[p].nodes);
+        free(fragments[p].slots);
+    }
+    free(s.cubes);
+    free(s.words);
+    free(tables);
+    return count;
+}
 """
 
 
@@ -1506,9 +1857,10 @@ def build_library() -> str:
 class CcKernels:
     """ctypes bindings over the cc-built shared library.
 
-    Thin and policy-free: every method takes the address of an int64 args
-    block laid out as the kernel source documents, filled by the backend,
-    which checks every index and keeps the arrays alive across the call.
+    Thin and policy-free: every scan method takes the address of an int64
+    args block laid out as the kernel source documents, filled by the
+    backend, which checks every index and keeps the arrays alive across the
+    call; :meth:`factored_fragment` takes its few arguments directly.
     """
 
     engine = "cc"
@@ -1527,6 +1879,8 @@ class CcKernels:
         lib.bg_refactor_cut_tables.restype = ctypes.c_int
         lib.bg_resub_scan.argtypes = [ptr]
         lib.bg_resub_scan.restype = i64
+        lib.bg_factored_fragment.argtypes = [ctypes.c_char_p, i64, ptr, i64]
+        lib.bg_factored_fragment.restype = i64
         self._lib = lib
         self.path = path
 
@@ -1549,6 +1903,10 @@ class CcKernels:
     def resub_scan(self, args_ptr: int) -> int:
         """Run ``bg_resub_scan`` on a filled args block: entries needed, or < 0."""
         return self._lib.bg_resub_scan(args_ptr)
+
+    def factored_fragment(self, table: bytes, num_vars: int, out, capacity: int) -> int:
+        """Run ``bg_factored_fragment`` on a table's words: nodes needed, or -1."""
+        return self._lib.bg_factored_fragment(table, num_vars, out, capacity)
 
 
 #: Cached engine resolution: (kernels-or-None, reason).  Keyed by the cache

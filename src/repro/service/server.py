@@ -232,6 +232,8 @@ class JsonRequestHandler(BaseHTTPRequestHandler):
     # Headers and body go out as two writes: with Nagle on, a keep-alive
     # client's delayed ACK holds every response after the first (~40 ms).
     disable_nagle_algorithm = True
+    #: The current request's body once read (see :meth:`_read_body`).
+    _body: Optional[bytes] = None
 
     def log_message(self, format: str, *args) -> None:  # noqa: A002
         pass  # request logging is the metrics' job; keep stdio clean
@@ -239,6 +241,7 @@ class JsonRequestHandler(BaseHTTPRequestHandler):
     # Helpers ------------------------------------------------------------ #
     def _send_bytes(self, code: int, body: bytes, content_type: str,
                     headers: Optional[Dict] = None) -> None:
+        self._read_body()
         self.send_response(code)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
@@ -269,12 +272,29 @@ class JsonRequestHandler(BaseHTTPRequestHandler):
             http_status, error_payload(code, message, job_id, **extra), headers
         )
 
+    def _read_body(self) -> bytes:
+        """The request's ``Content-Length`` bytes, read from the socket once.
+
+        Every answer reads them first, an error answer included, so that on
+        a keep-alive connection the next request starts after this one's
+        body instead of inside it.  Without a readable length, where the
+        body ends is unknown, so the connection closes after the answer.
+        """
+        if self._body is None:
+            try:
+                length = int(self.headers.get("Content-Length") or 0)
+            except ValueError:
+                length = 0
+                self.close_connection = True
+            self._body = self.rfile.read(length) if length > 0 else b""
+        return self._body
+
     def _read_json(self) -> Dict:
-        length = int(self.headers.get("Content-Length", 0))
-        if length <= 0:
+        body = self._read_body()
+        if not body:
             raise ValueError("request body must be a JSON object")
         try:
-            payload = json.loads(self.rfile.read(length))
+            payload = json.loads(body)
         except json.JSONDecodeError as error:
             raise ValueError(f"invalid JSON body: {error}") from None
         if not isinstance(payload, dict):
@@ -304,6 +324,7 @@ class JsonRequestHandler(BaseHTTPRequestHandler):
         self._dispatch(self.handle_get)
 
     def _dispatch(self, handler) -> None:
+        self._body = None
         parsed = urlparse(self.path)
         parts = [part for part in parsed.path.split("/") if part]
         if parts[:1] != [API_VERSION]:

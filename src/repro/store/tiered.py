@@ -335,11 +335,13 @@ class _StoreRequestHandler(BaseHTTPRequestHandler):
         self._send(200, data, "application/octet-stream")
 
     def do_PUT(self) -> None:  # noqa: N802 - http.server API
+        # The body is read before any answer, an error included, so a
+        # keep-alive connection's next request starts after it.
+        length = int(self.headers.get("Content-Length", 0))
+        data = self.rfile.read(length) if length > 0 else b""
         path = self._blob_path(self._split(self.path))
         if path is None:
             return
-        length = int(self.headers.get("Content-Length", 0))
-        data = self.rfile.read(length) if length > 0 else b""
         os.makedirs(os.path.dirname(path), exist_ok=True)
         ArtifactStore._replace_into(path, lambda stream: stream.write(data))
         self._send(204)

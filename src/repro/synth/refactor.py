@@ -7,6 +7,16 @@ fewer AND nodes than the cone it frees (Mishchenko/Brayton, *Scalable logic
 synthesis using a simple circuit structure*, IWLS 2006).  Unlike rewriting it
 can restructure logic across many levels at once and therefore also reduces
 depth in practice.
+
+The factored form of a table is synthesized once per process, behind the
+memo of :func:`refactor_fragment`: on a miss, the native backend's compiled
+``factored_fragment`` op runs the Minato–Morreale ISOP of the table and of
+its complement, quick factoring and the balanced-AND fragment build in one
+call.  Without it (the reference backend, no compiled engine, or more than
+16 inputs), :func:`_factor_both_polarities` runs the same chain in Python
+(:mod:`repro.synth.isop`, :mod:`repro.synth.factor`,
+:meth:`~repro.synth.fragment.Fragment.from_expression`); it is the op's
+reference, and both return the same fragment.
 """
 
 from __future__ import annotations
@@ -18,6 +28,7 @@ from repro.aig.aig import Aig
 from repro.aig.literals import lit, lit_not
 from repro.aig.reconv_cut import reconvergence_driven_cut
 from repro.aig.truth import cut_truth_table, table_mask
+from repro.backend import get_backend
 from repro.synth.candidates import TransformCandidate
 from repro.synth.factor import factor_pairs
 from repro.synth.fragment import Fragment
@@ -31,7 +42,7 @@ from repro.synth.mffc import mffc_nodes
 #: transformability analysis, the rewriting library's own synthesis).  Cone
 #: functions recur heavily across nodes, passes and sweeps, and the factored
 #: form is a pure function of the table.  Fragments are mutated only while
-#: :func:`_factor_both_polarities` builds them, so sharing them is safe.
+#: they are built, so sharing them is safe.
 _REFACTOR_FRAGMENTS: Dict[Tuple[int, int], Fragment] = {}
 
 
@@ -44,8 +55,17 @@ def refactor_fragment(table: int, num_vars: int) -> Fragment:
     key = (table & table_mask(num_vars), num_vars)
     fragment = _REFACTOR_FRAGMENTS.get(key)
     if fragment is None:
-        fragment = _REFACTOR_FRAGMENTS[key] = _factor_both_polarities(*key)
+        fragment = _REFACTOR_FRAGMENTS[key] = _synthesize_fragment(*key)
     return fragment
+
+
+def _synthesize_fragment(table: int, num_vars: int) -> Fragment:
+    """A memo miss: the backend's compiled ``factored_fragment``, which
+    declines without an engine and outside 1..16 inputs, else the Python
+    chain :func:`_factor_both_polarities`, its reference."""
+    factored = getattr(get_backend(), "factored_fragment", None)
+    fragment = factored(table, num_vars) if factored is not None else None
+    return fragment if fragment is not None else _factor_both_polarities(table, num_vars)
 
 
 def _factor_both_polarities(table: int, num_vars: int) -> Fragment:

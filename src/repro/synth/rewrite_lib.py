@@ -7,8 +7,10 @@ each truth table is converted to an irredundant SOP, algebraically factored
 (both polarities, the cheaper one wins), turned into a :class:`Fragment` and
 cached.  The synthesis itself is
 :func:`~repro.synth.refactor.refactor_fragment`, whose memo refactoring
-shares.  Because at most ``2^16`` distinct 4-input functions exist (and far
-fewer occur in practice), the cache quickly converges to a fixed library.
+shares and which synthesizes a miss in one compiled call on the native
+backend (the Python chain elsewhere, with the same fragment).  Because at
+most ``2^16`` distinct 4-input functions exist (and far fewer occur in
+practice), the cache quickly converges to a fixed library.
 
 NPN canonicalization (:mod:`repro.aig.npn`) is used to share cache entries
 between functions of the same equivalence class, which keeps the number of

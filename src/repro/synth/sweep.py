@@ -162,6 +162,8 @@ def score_rewrites(
     library = params.library if params.library is not None else DEFAULT_LIBRARY
     topo = cached_topological_order(aig)
     targets = [n for n in topo if nodes is None or n in nodes]
+    if not targets:
+        return {}
     if nodes is not None and len(targets) * 2 < len(topo):
         # Small target set (rescore sweeps, split decision vectors): each
         # node is scored over the cuts of its bounded local region, the cuts

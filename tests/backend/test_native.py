@@ -31,6 +31,7 @@ from repro.backend import (
 from repro.backend import native_kernels, registry
 from repro.backend.native import _OP_LABELS, NativeBackend
 from repro.backend.reference import ReferenceBackend
+from repro.synth import refactor
 
 SPEC = RandomAigSpec(
     num_pis=6, num_pos=2, num_ands=60, redundancy=0.5, xor_fraction=0.2,
@@ -125,14 +126,18 @@ def test_degraded_native_script_runs_reference_code(degraded_native, monkeypatch
 
     expected = optimized("reference")
     # Every capability op the script reaches must decline (return None), so
-    # its caller runs the Python loop the reference backend runs.
+    # its caller runs the Python loop the reference backend runs.  A cold
+    # fragment memo makes the script synthesize.
     entered, declined = Counter(), Counter()
     for op in _OP_LABELS:
         monkeypatch.setattr(
             degraded_native, op, _counting(entered, declined, op, getattr(degraded_native, op))
         )
+    monkeypatch.setattr(refactor, "_REFACTOR_FRAGMENTS", {})
     assert optimized("native") == expected
-    assert set(entered) >= {"snapshot_cut_tables", "refactor_cut_tables", "resub_scan"}
+    assert set(entered) >= {
+        "snapshot_cut_tables", "refactor_cut_tables", "resub_scan", "factored_fragment"
+    }
     assert declined == entered
 
 
@@ -214,6 +219,7 @@ def test_engine_labels_ops_when_available():
     assert backend.engine_name() == kernels.engine
     assert support["snapshot_cut_tables"] == f"{kernels.engine}:whole-snapshot-cuts"
     assert support["resub_scan"] == f"{kernels.engine}:window-resub-scan"
+    assert support["factored_fragment"] == f"{kernels.engine}:isop-factor-fragment"
 
 
 def test_engine_leaves_no_op_on_fallback():

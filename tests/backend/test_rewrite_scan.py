@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.aig.aig import Aig
@@ -29,6 +29,7 @@ from repro.aig.kernels import levelized
 from repro.aig.random_aig import RandomAigSpec, random_aig
 from repro.aig.truth import cut_truth_table
 from repro.backend import get_backend, native_kernels, reset_default_backend, use_backend
+from repro.backend.native import _OP_LABELS
 from repro.circuits.benchmarks import load_benchmark
 from repro.synth import sweep
 from repro.synth.rewrite import RewriteParams, evaluate_rewrite_cut
@@ -61,6 +62,12 @@ aig_specs = st.builds(
     xor_fraction=st.floats(min_value=0.0, max_value=0.3),
     mux_fraction=st.floats(min_value=0.0, max_value=0.3),
     seed=st.integers(min_value=0, max_value=10_000),
+)
+
+#: A drawn spec whose network has no AND node: every gate folds away.
+AND_LESS = RandomAigSpec(
+    num_pis=2, num_pos=1, num_ands=4, redundancy=0.5, xor_fraction=0.0, mux_fraction=0.0,
+    seed=3715,
 )
 
 
@@ -174,11 +181,37 @@ def _native_scans():
             del backend.rewrite_scan
 
 
+@contextmanager
+def _capability_calls():
+    """Select the native backend; yield the names of its capability ops called."""
+    entered = []
+
+    def recording(op, target):
+        return lambda *args, **kwargs: entered.append(op) or target(*args, **kwargs)
+
+    with use_backend("native") as backend:
+        for op in _OP_LABELS:
+            setattr(backend, op, recording(op, getattr(backend, op)))
+        try:
+            yield entered
+        finally:
+            for op in _OP_LABELS:
+                delattr(backend, op)
+
+
 # --------------------------------------------------------------------------- #
 # Compiled scan == Python loop
 # --------------------------------------------------------------------------- #
 def _assert_identical(aig, setting, sweeps=True):
     params = _params(*setting)
+    if not aig.num_ands():
+        # Nothing to score: both branches return before any capability op.
+        with _capability_calls() as entered:
+            compiled = sweep.score_rewrites(aig, None, params)
+            with _python_branch():
+                expected = sweep.score_rewrites(aig, None, params)
+        assert compiled == expected == {} and entered == []
+        return
     with _native_scans() as calls:
         compiled = sweep.score_rewrites(aig, None, params)
         assert calls, "the compiled scan did not run"
@@ -207,6 +240,7 @@ def test_compiled_scan_matches_python_loop_on_benchmarks(design):
 @pytest.mark.parametrize("setting", SETTINGS)
 @settings(max_examples=10, deadline=None)
 @given(spec=aig_specs)
+@example(spec=AND_LESS)
 def test_compiled_scan_matches_python_loop_on_random_aigs(setting, spec):
     _engine_or_skip()
     _assert_identical(random_aig(spec), setting)

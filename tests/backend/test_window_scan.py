@@ -18,13 +18,14 @@ from contextlib import contextmanager
 from functools import lru_cache
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.aig.kernels import cached_topological_order, levelized
 from repro.aig.random_aig import RandomAigSpec, random_aig
 from repro.aig.reconv_cut import reconvergence_driven_cut
 from repro.backend import native_kernels, reset_default_backend, use_backend
+from repro.backend.native import _OP_LABELS
 from repro.circuits.benchmarks import load_benchmark
 from repro.engine.evaluator import record_signature
 from repro.orchestration.orchestrate import orchestrate
@@ -74,6 +75,12 @@ aig_specs = st.builds(
     xor_fraction=st.floats(min_value=0.0, max_value=0.3),
     mux_fraction=st.floats(min_value=0.0, max_value=0.3),
     seed=st.integers(min_value=0, max_value=10_000),
+)
+
+#: A drawn spec whose network has no AND node: every gate folds away.
+AND_LESS = RandomAigSpec(
+    num_pis=2, num_pos=1, num_ands=4, redundancy=0.5, xor_fraction=0.0, mux_fraction=0.0,
+    seed=3715,
 )
 
 
@@ -157,8 +164,34 @@ def _native_scans():
             del backend.resub_scan, backend.refactor_cut_tables
 
 
+@contextmanager
+def _capability_calls():
+    """Select the native backend; yield the names of its capability ops called."""
+    entered = []
+
+    def recording(op, target):
+        return lambda *args, **kwargs: entered.append(op) or target(*args, **kwargs)
+
+    with use_backend("native") as backend:
+        for op in _OP_LABELS:
+            setattr(backend, op, recording(op, getattr(backend, op)))
+        try:
+            yield entered
+        finally:
+            for op in _OP_LABELS:
+                delattr(backend, op)
+
+
 def _assert_identical(aig, operation, params, sweeps=True):
     score, finder, sweep_pass = SCORERS[operation]
+    if not aig.num_ands():
+        # Nothing to score: both branches return before any capability op.
+        with _capability_calls() as entered:
+            compiled = score(aig, None, params)
+            with _finders():
+                expected = score(aig, None, params)
+        assert compiled == expected == {} and entered == []
+        return []
     with _native_scans() as calls:
         compiled = score(aig, None, params)
         assert calls, "the compiled scan did not run"
@@ -201,6 +234,7 @@ def test_compiled_refactor_scoring_matches_the_finder_on_benchmarks(design):
 @pytest.mark.parametrize("index", range(len(RESUB_SETTINGS)))
 @settings(max_examples=10, deadline=None)
 @given(spec=aig_specs)
+@example(spec=AND_LESS)
 def test_compiled_resub_scoring_matches_the_finder_on_random_aigs(index, spec):
     _engine_or_skip()
     _assert_identical(random_aig(spec), "rs", RESUB_SETTINGS[index])
@@ -209,6 +243,7 @@ def test_compiled_resub_scoring_matches_the_finder_on_random_aigs(index, spec):
 @pytest.mark.parametrize("index", range(len(REFACTOR_SETTINGS)))
 @settings(max_examples=10, deadline=None)
 @given(spec=aig_specs)
+@example(spec=AND_LESS)
 def test_compiled_refactor_scoring_matches_the_finder_on_random_aigs(index, spec):
     _engine_or_skip()
     _assert_identical(random_aig(spec), "rf", REFACTOR_SETTINGS[index])

@@ -6,10 +6,12 @@ and the router carries the structured
 ``{"error": {"code", "message", "job_id"}}`` envelope.
 """
 
+import http.client
 import json
 import re
 import urllib.error
 import urllib.request
+from urllib.parse import urlparse
 
 import pytest
 
@@ -90,6 +92,36 @@ def test_unversioned_paths_answer_not_found(server, router, tmp_path):
             status, _, payload = _get(store, path, method, b"{}" if method == "PUT" else None)
             assert status == 404 and payload == {"error": "unknown endpoint"}, path
         assert not (tmp_path / "samples").exists()
+
+
+def _then_healthz(url, method, path, body):
+    """On one keep-alive connection: the status of ``method path`` with
+    ``body``, then the status and parsed body of ``GET /v1/healthz``."""
+    parsed = urlparse(url)
+    connection = http.client.HTTPConnection(parsed.hostname, parsed.port, timeout=30.0)
+    try:
+        connection.request(method, path, body=body, headers={"Content-Type": "application/json"})
+        first = connection.getresponse()
+        first.read()
+        connection.request("GET", "/v1/healthz")
+        second = connection.getresponse()
+        return first.status, second.status, json.loads(second.read())
+    finally:
+        connection.close()
+
+
+def test_error_answers_read_the_body_of_a_keep_alive_request(server, router, tmp_path):
+    # An error answered before the body is read leaves the body on the
+    # connection, where it is parsed as the next request.
+    body = json.dumps(SPEC).encode("ascii")
+    for front in (server, router):
+        for path in ("/v1/nope", "/submit", "/v1/submit/x"):
+            first, second, payload = _then_healthz(front.url, "POST", path, body)
+            assert (first, second, payload["status"]) == (404, 200, "ok"), (front, path)
+    with StoreServer(str(tmp_path)) as store:
+        for path, status in (("/v1/nope/x", 404), ("/v1/blob/bogus/x.json", 400)):
+            first, second, payload = _then_healthz(store.url, "PUT", path, body)
+            assert (first, second, payload) == (status, 200, {"status": "ok"}), path
 
 
 def test_errors_carry_the_structured_envelope(server):

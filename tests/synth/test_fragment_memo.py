@@ -5,7 +5,11 @@ Refactoring fragments are memoized by truth table behind
 :data:`repro.synth.rewrite_lib.DEFAULT_LIBRARY`.  A network optimized in a
 fresh process (every memo cold) must come out byte-identical to the same run
 in a process whose memos are warm, on both the batched and the sequential
-strategy, and the transformability analysis must not depend on the memo.
+strategy and whether the misses are synthesized by the native backend's
+compiled op or by the reference backend's Python chain, and the
+transformability analysis must not depend on the memo.  Every miss goes
+through :func:`repro.synth.refactor._synthesize_fragment`, so patching it
+shows whether a run read the memo.
 """
 
 from __future__ import annotations
@@ -52,19 +56,28 @@ def _no_synthesis(table: int, num_vars: int):
     raise AssertionError(f"a warm memo re-synthesized {table:#x} over {num_vars} inputs")
 
 
-def test_cold_process_matches_warm_memos():
+def _cold(backend_name):
+    """The runs' AIGER texts from a fresh process on ``backend_name``."""
     env = dict(os.environ)
     source = str(Path(repro.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [source, env.get("PYTHONPATH")]))
+    env["BOOLGEBRA_BACKEND"] = backend_name
     completed = subprocess.run(
         [sys.executable, "-c", _CHILD, json.dumps(RUNS)],
         env=env, capture_output=True, text=True, check=True, timeout=600,
     )
-    cold = json.loads(completed.stdout)
+    return json.loads(completed.stdout)
+
+
+def test_cold_process_matches_warm_memos():
+    # The native child synthesizes its misses with the compiled op (the
+    # Python chain without an engine), the reference child with the chain.
+    cold = {name: _cold(name) for name in ("native", "reference")}
+    assert cold["native"] == cold["reference"]
     for design, script in RUNS:
         _optimized(design, script)  # warm every memo on these designs
     warm = [_optimized(design, script) for design, script in RUNS]
-    assert warm == cold
+    assert warm == cold["native"]
 
 
 def test_analysis_is_the_same_with_cold_and_warm_fragment_memo(monkeypatch):
@@ -72,13 +85,13 @@ def test_analysis_is_the_same_with_cold_and_warm_fragment_memo(monkeypatch):
     refactor._REFACTOR_FRAGMENTS.clear()
     cold = analyze_network(design.copy())
     assert refactor._REFACTOR_FRAGMENTS
-    monkeypatch.setattr(refactor, "_factor_both_polarities", _no_synthesis)
+    monkeypatch.setattr(refactor, "_synthesize_fragment", _no_synthesis)
     assert analyze_network(design.copy()) == cold
 
 
 def test_sequential_refactoring_reads_the_memo(monkeypatch):
     _optimized("b08", "rf -S sequential")
-    monkeypatch.setattr(refactor, "_factor_both_polarities", _no_synthesis)
+    monkeypatch.setattr(refactor, "_synthesize_fragment", _no_synthesis)
     _optimized("b08", "rf -S sequential")
 
 
