@@ -13,6 +13,16 @@ The class below is the Python equivalent of ABC's AIG manager.  It supports
   to update the network after a local transformation,
 * size / depth metrics and copying.
 
+Levels are live
+---------------
+Every slot's logic level is kept current through every mutation, as ABC's
+``Abc_AigReplace`` keeps them: a new AND sits one above its deeper fanin, a
+freed slot drops to 0, and :meth:`Aig.replace` re-levels the gates its cascade
+rewired and their fanout cones.  :meth:`Aig.level`, :meth:`Aig.depth` and the
+levelized snapshot read the array without a walk, and the replacement's
+cycle check uses it to bound its own walk.  The number of live AND nodes
+(:attr:`Aig.size`) is counted alongside.
+
 Node identity
 -------------
 Nodes are identified by dense integer ids.  Node ``0`` is the constant node.
@@ -24,6 +34,7 @@ callers never get reused within the lifetime of an :class:`Aig` instance.
 from __future__ import annotations
 
 import enum
+from collections import deque
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.aig.literals import (
@@ -78,8 +89,10 @@ class Aig:
         self._po_names: List[Optional[str]] = []
         # Structural hash: (fanin0, fanin1) sorted -> node id.
         self._strash: Dict[Tuple[int, int], int] = {}
-        # Lazily recomputed levels.
-        self._levels: Optional[List[int]] = None
+        # Live per-slot logic levels (PIs, the constant and freed slots are
+        # 0) and the live AND count; see the module docstring.
+        self._levels: List[int] = [0]
+        self._num_ands = 0
         #: Incremented on every structural change; lets caches (cut sets,
         #: simulation signatures, …) detect that they are stale.
         self.modification_count = 0
@@ -128,7 +141,6 @@ class Aig:
         node = self._new_node(NodeType.PI, CONST0, CONST0)
         self._pis.append(node)
         self._pi_names.append(name)
-        self._invalidate_levels()
         return lit(node)
 
     def add_po(self, driver: int, name: Optional[str] = None) -> int:
@@ -169,7 +181,6 @@ class Aig:
             # their MFFC membership as seen by other candidates) changed.
             journal.add(lit_var(key[0]))
             journal.add(lit_var(key[1]))
-        self._invalidate_levels()
         return lit(node)
 
     def find_and(self, lit0: int, lit1: int) -> Optional[int]:
@@ -258,7 +269,7 @@ class Aig:
     @property
     def size(self) -> int:
         """Number of live AND nodes (the paper's primary AIG *size* metric)."""
-        return sum(1 for t in self._type if t == NodeType.AND)
+        return self._num_ands
 
     def num_ands(self) -> int:
         """Alias for :attr:`size`."""
@@ -379,34 +390,17 @@ class Aig:
     # ------------------------------------------------------------------ #
     def level(self, node: int) -> int:
         """Return the logic level of ``node`` (PIs and the constant are level 0)."""
-        self._ensure_levels()
-        assert self._levels is not None
         return self._levels[node]
 
     def depth(self) -> int:
-        """Return the largest PO level, i.e. the AIG depth."""
-        self._ensure_levels()
-        assert self._levels is not None
+        """Return the largest PO level, i.e. the AIG depth.
+
+        Without POs, the largest level of any live AND node (0 if none).
+        """
+        levels = self._levels
         if not self._pos:
-            live = [self._levels[n] for n in self.nodes()]
-            return max(live) if live else 0
-        return max(self._levels[lit_var(po)] for po in self._pos)
-
-    def _ensure_levels(self) -> None:
-        if self._levels is not None:
-            return
-        from repro.aig.kernels import cached_topological_order
-
-        levels = [0] * len(self._type)
-        for node in cached_topological_order(self):
-            levels[node] = 1 + max(
-                levels[lit_var(self._fanin0[node])],
-                levels[lit_var(self._fanin1[node])],
-            )
-        self._levels = levels
-
-    def _invalidate_levels(self) -> None:
-        self._levels = None
+            return max(levels)
+        return max(levels[lit_var(po)] for po in self._pos)
 
     # ------------------------------------------------------------------ #
     # Traversal
@@ -419,24 +413,33 @@ class Aig:
         independently created) logic, an explicit DFS is used rather than
         relying on id ordering.
         """
+        node_type = self._type
+        fanin0, fanin1 = self._fanin0, self._fanin1
+        and_type = NodeType.AND
         order: List[int] = []
-        visited = bytearray(len(self._type))
+        visited = bytearray(len(node_type))
         # Iterative DFS from every live AND node (covers dangling roots too).
-        for root in self.nodes():
-            if visited[root]:
+        # A pushed ``~node`` (negative) emits ``node`` once its fanins are
+        # done; fanins that are not unvisited ANDs are never pushed.
+        for root, kind in enumerate(node_type):
+            if kind != and_type or visited[root]:
                 continue
-            stack: List[Tuple[int, bool]] = [(root, False)]
+            stack = [root]
             while stack:
-                node, expanded = stack.pop()
-                if expanded:
-                    order.append(node)
+                node = stack.pop()
+                if node < 0:
+                    order.append(~node)
                     continue
-                if visited[node] or self._type[node] != NodeType.AND:
+                if visited[node]:
                     continue
                 visited[node] = 1
-                stack.append((node, True))
-                stack.append((lit_var(self._fanin1[node]), False))
-                stack.append((lit_var(self._fanin0[node]), False))
+                stack.append(~node)
+                fanin = fanin1[node] >> 1
+                if not visited[fanin] and node_type[fanin] == and_type:
+                    stack.append(fanin)
+                fanin = fanin0[node] >> 1
+                if not visited[fanin] and node_type[fanin] == and_type:
+                    stack.append(fanin)
         return order
 
     def transitive_fanin(self, node: int, include_node: bool = False) -> set:
@@ -483,6 +486,12 @@ class Aig:
         ``Dec_GraphUpdateNetwork`` in ABC and is the primitive used by all
         optimization passes.
 
+        Levels stay live: the gates the cascade rewired in place are
+        re-leveled with their fanout cones (:meth:`_relevel`).  The cycle
+        check reads them: a fanin cone lies below its root, so the check
+        walks only the part of ``new_lit``'s cone above ``old_node``'s level,
+        and not at all when ``new_lit`` sits no higher.
+
         Raises
         ------
         AigError
@@ -494,9 +503,7 @@ class Aig:
         self._check_literal(new_lit)
         if lit_var(new_lit) == old_node:
             return
-        if self.is_and(lit_var(new_lit)) and old_node in self.transitive_fanin(
-            lit_var(new_lit), include_node=True
-        ):
+        if self._fanin_cone_contains(lit_var(new_lit), old_node):
             raise AigCycleError(
                 f"replacing node {old_node} with literal {new_lit} would create a cycle"
             )
@@ -508,11 +515,62 @@ class Aig:
         # literal written while the cascade runs is resolved through this map
         # so nothing can ever be re-pointed at a half-dismantled node.
         self._forwarding: Dict[int, int] = {}
+        # Gates whose fanins the cascade changed in place: the seeds of the
+        # re-leveling (a local list, so nothing of it reaches the pickle).
+        rewired: List[int] = []
         try:
-            self._replace_recursive(old_node, new_lit)
+            self._replace_recursive(old_node, new_lit, rewired)
         finally:
             self._forwarding = {}
-        self._invalidate_levels()
+        self._relevel(rewired)
+
+    def _fanin_cone_contains(self, root: int, node: int) -> bool:
+        """Return whether ``node`` is ``root`` or lies in its transitive fanin.
+
+        A node at or below ``node``'s level is ``node`` or cannot reach it,
+        so the walk stays above that level.
+        """
+        levels = self._levels
+        bound = levels[node]
+        if levels[root] <= bound:
+            return root == node
+        fanin0, fanin1 = self._fanin0, self._fanin1
+        seen = {root}
+        stack = [root]
+        while stack:
+            current = stack.pop()
+            for fanin in (fanin0[current] >> 1, fanin1[current] >> 1):
+                if fanin == node:
+                    return True
+                if levels[fanin] > bound and fanin not in seen:
+                    seen.add(fanin)
+                    stack.append(fanin)
+        return False
+
+    def _relevel(self, nodes: List[int]) -> None:
+        """Re-level ``nodes`` (gates whose fanins changed) and their fanout cones.
+
+        Freed nodes are skipped; a node whose level changes queues its
+        fanouts, until no level moves.  First in, first out keeps the walk
+        close to level order, so few nodes change twice; an exact
+        level-ordered queue changes fewer but costs more per visit.
+        """
+        levels = self._levels
+        node_type = self._type
+        fanin0, fanin1 = self._fanin0, self._fanin1
+        fanouts = self._fanouts
+        and_type = NodeType.AND
+        queue = deque(nodes)
+        while queue:
+            node = queue.popleft()
+            if node_type[node] != and_type:
+                continue
+            l0 = levels[fanin0[node] >> 1]
+            l1 = levels[fanin1[node] >> 1]
+            level = (l0 if l0 >= l1 else l1) + 1
+            if level != levels[node]:
+                levels[node] = level
+                queue.extend(fanouts[node])
 
     def _resolve_forwarding(self, literal: int) -> int:
         """Follow the forwarding chain of ``literal`` to its final live target."""
@@ -526,18 +584,19 @@ class Aig:
             if guard > len(self._type):
                 raise AigError("forwarding chain does not terminate")
 
-    def _replace_recursive(self, old: int, new: int) -> None:
+    def _replace_recursive(self, old: int, new: int, rewired: List[int]) -> None:
         new = self._resolve_forwarding(new)
         if self.is_free(old) or lit_var(new) == old:
             return
         self._forwarding[old] = new
         if self._mutation_journal is not None:
             self._mutation_journal.add(old)
-        self._rewire_pos(old, new)
+        if self._po_refs[old]:
+            self._rewire_pos(old, new)
         for fanout in sorted(self._fanouts[old]):
             if self.is_free(fanout) or fanout not in self._fanouts[old]:
                 continue
-            self._rewire_fanout(fanout, old)
+            self._rewire_fanout(fanout, old, rewired)
         if self.is_and(old) and self.fanout_count(old) == 0:
             self._delete_cone(old)
 
@@ -547,14 +606,14 @@ class Aig:
                 compl = lit_is_compl(driver)
                 self.set_po_driver(index, new ^ int(compl))
 
-    def _rewire_fanout(self, fanout: int, old: int) -> None:
+    def _rewire_fanout(self, fanout: int, old: int, rewired: List[int]) -> None:
         """Re-express ``fanout`` without referencing ``old`` (or any other
         node currently being dismantled).
 
         Both fanins are resolved through the forwarding map; if the rewired
         gate simplifies or merges with an existing gate, the fanout is
         detached and immediately replaced by that literal (depth-first
-        cascade).
+        cascade).  A gate updated in place is appended to ``rewired``.
         """
         f0, f1 = self._fanin0[fanout], self._fanin1[fanout]
         nf0 = self._resolve_forwarding(f0)
@@ -586,13 +645,14 @@ class Aig:
                 self._strash[key] = fanout
                 self._fanouts[lit_var(key[0])].add(fanout)
                 self._fanouts[lit_var(key[1])].add(fanout)
+                rewired.append(fanout)
                 return
             if existing == fanout:
                 return
             simplified = lit(existing)
         # The gate dissolved into ``simplified``: detach it and cascade now.
         self._detach(fanout)
-        self._replace_recursive(fanout, simplified)
+        self._replace_recursive(fanout, simplified, rewired)
 
     def _detach(self, node: int) -> None:
         """Mark ``node`` as having no fanins (it is about to be replaced)."""
@@ -626,25 +686,21 @@ class Aig:
             self._fanin0[current] = CONST0
             self._fanin1[current] = CONST0
             self._fanouts[current] = set()
+            self._levels[current] = 0
+            self._num_ands -= 1
 
     def cleanup(self) -> int:
-        """Delete AND nodes not reachable from any PO; return how many were removed."""
-        reachable: set = set()
-        stack = [lit_var(po) for po in self._pos]
-        while stack:
-            node = stack.pop()
-            if node in reachable or not self.is_and(node):
-                continue
-            reachable.add(node)
-            stack.append(lit_var(self._fanin0[node]))
-            stack.append(lit_var(self._fanin1[node]))
+        """Delete AND nodes not reachable from any PO; return how many were removed.
+
+        An AND reachable from a PO drives that PO or a reachable AND, so the
+        dangling roots are exactly the ANDs with no reference at all; each
+        one's cone goes with it.  The count is of those roots.
+        """
         removed = 0
         for node in list(self.nodes()):
-            if node not in reachable and self.is_and(node):
-                if self.fanout_count(node) == 0:
-                    self._delete_cone(node)
-                    removed += 1
-        self._invalidate_levels()
+            if self.is_and(node) and self.fanout_count(node) == 0:
+                self._delete_cone(node)
+                removed += 1
         return removed
 
     # ------------------------------------------------------------------ #
@@ -742,10 +798,18 @@ class Aig:
     # Consistency checking
     # ------------------------------------------------------------------ #
     def check(self) -> None:
-        """Raise :class:`AigError` if internal invariants are violated."""
+        """Raise :class:`AigError` if internal invariants are violated.
+
+        Besides the structure, the live state is checked: ``size`` equals the
+        number of live AND nodes, and every slot's level equals a
+        recomputation over a fresh DFS (freed slots at 0).
+        """
+        live_ands = sum(1 for t in self._type if t == NodeType.AND)
+        if self._num_ands != live_ands:
+            raise AigError(f"live AND count {self._num_ands} != {live_ands} AND nodes")
         order = self.topological_order()
         position = {node: index for index, node in enumerate(order)}
-        if len(order) != self.size:
+        if len(order) != live_ands:
             raise AigError("cycle detected: topological order misses live nodes")
         for index, node in enumerate(order):
             for fanin_lit in self.fanins(node):
@@ -773,6 +837,16 @@ class Aig:
                     raise AigError(f"node {node} lists freed fanout {fanout}")
                 if lit_var(self._fanin0[fanout]) != node and lit_var(self._fanin1[fanout]) != node:
                     raise AigError(f"stale fanout entry {fanout} on node {node}")
+        levels = [0] * len(self._type)
+        for node in order:
+            l0 = levels[lit_var(self._fanin0[node])]
+            l1 = levels[lit_var(self._fanin1[node])]
+            levels[node] = 1 + max(l0, l1)
+        if len(self._levels) != len(levels):
+            raise AigError(f"{len(self._levels)} levels for {len(levels)} node slots")
+        for node, level in enumerate(levels):
+            if self._levels[node] != level:
+                raise AigError(f"node {node}: level {self._levels[node]}, recomputed {level}")
 
     # ------------------------------------------------------------------ #
     # Internals
@@ -785,6 +859,14 @@ class Aig:
         self._fanin1.append(f1)
         self._fanouts.append(set())
         self._po_refs.append(0)
+        levels = self._levels
+        if node_type == NodeType.AND:
+            l0 = levels[f0 >> 1]
+            l1 = levels[f1 >> 1]
+            levels.append((l0 if l0 >= l1 else l1) + 1)
+            self._num_ands += 1
+        else:
+            levels.append(0)
         return len(self._type) - 1
 
     def _trivial_and(self, lit0: int, lit1: int) -> Optional[int]:

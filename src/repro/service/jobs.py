@@ -109,14 +109,19 @@ class JobSpec:
         names are part of the identity here: a renamed copy of a structurally
         identical design is a *different* job, or the byte-identity guarantee
         would break.  ``aig`` skips re-loading the design when the caller
-        already holds it.  This part depends only on ``design`` (never on the
-        kind or options), which is what lets the cluster router cache it per
-        design string when computing routing keys.
+        already holds it.  Otherwise the design is read without a copy (the
+        key only reads it): a benchmark name hits the process-wide benchmark
+        cache and the memoized fingerprint, while a netlist path is parsed
+        again, so a rewritten file gets a new key.  This part depends only on
+        ``design`` (never on the kind or options), which is what lets the
+        cluster router cache it per design string when computing routing keys.
         """
         if self.kind == "selftest":
             return "selftest"
         if aig is None:
-            aig = self.load_aig()
+            from repro.engine.engine import load_design
+
+            aig = load_design(self.design)
         names = {
             "design": aig.name,
             "pis": [aig.pi_name(index) for index in range(aig.num_pis())],
@@ -143,12 +148,6 @@ class JobSpec:
     def job_id(self, aig: Optional[Aig] = None) -> str:
         """Deterministic job id: the kind plus a prefix of the coalescing key."""
         return f"{self.kind}-{self.coalesce_key(aig)[:16]}"
-
-    def load_aig(self) -> Aig:
-        """Load the spec's design (benchmark name or netlist path)."""
-        from repro.engine.engine import Engine
-
-        return Engine.load(self.design).aig
 
     # ------------------------------------------------------------------ #
     # JSON interchange

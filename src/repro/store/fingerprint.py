@@ -6,7 +6,8 @@ Two ingredients make an artifact key:
   are canonically renumbered (constant, then PIs in creation order, then AND
   nodes in topological order) before hashing, so two differently-constructed
   but structurally identical networks share one fingerprint, while any change
-  to the logic, the interface or the PI/PO ordering changes it.
+  to the logic, the interface or the PI/PO ordering changes it.  It is
+  memoized per network and structural version, as the DFS order is.
 * :func:`config_fingerprint` — a canonical-JSON hash of arbitrary
   configuration values (dataclasses, enums, numpy scalars, containers).
 
@@ -20,11 +21,17 @@ import dataclasses
 import enum
 import hashlib
 import json
-from typing import Any, Iterable
+import weakref
+from typing import Any, Iterable, Tuple
 
 from repro.aig.aig import Aig
 from repro.aig.kernels import cached_topological_order
 from repro.aig.literals import lit_is_compl, lit_var
+
+
+_FINGERPRINTS: "weakref.WeakKeyDictionary[Aig, Tuple[int, str]]" = (
+    weakref.WeakKeyDictionary()
+)
 
 
 def aig_fingerprint(aig: Aig) -> str:
@@ -33,7 +40,18 @@ def aig_fingerprint(aig: Aig) -> str:
     The fingerprint covers the PI count, every AND node's fanin literals under
     the canonical renumbering and the PO driver literals.  The design *name*
     is deliberately excluded: renaming a netlist must not invalidate caches.
+    It is memoized per network and :attr:`~repro.aig.aig.Aig.modification_count`,
+    so hashing an unchanged network again costs a lookup.
     """
+    entry = _FINGERPRINTS.get(aig)
+    if entry is None or entry[0] != aig.modification_count:
+        entry = (aig.modification_count, _structural_hash(aig))
+        _FINGERPRINTS[aig] = entry
+    return entry[1]
+
+
+def _structural_hash(aig: Aig) -> str:
+    """Hash ``aig`` under the canonical renumbering (see :func:`aig_fingerprint`)."""
     topo = cached_topological_order(aig)
     renumber = {0: 0}
     for row, node in enumerate(aig.pis(), start=1):

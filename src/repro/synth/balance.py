@@ -22,20 +22,9 @@ def balance(aig: Aig) -> Aig:
     for index, pi in enumerate(aig.pis()):
         mapping[pi] = result.add_pi(aig.pi_name(index))
 
-    # Arrival levels of the partially built result, tracked locally: asking
-    # the network itself (``result.level``) would rebuild the full level
-    # array after every added gate, turning balancing quadratic.
-    arrivals: Dict[int, int] = {}
-
+    # Arrival times are the partially built result's live levels.
     def arrival(literal: int) -> int:
-        return arrivals.get(lit_var(literal), 0)
-
-    def add_and_tracked(lit0: int, lit1: int) -> int:
-        literal = result.add_and(lit0, lit1)
-        node = lit_var(literal)
-        if node not in arrivals and result.is_and(node):
-            arrivals[node] = max(arrival(lit0), arrival(lit1)) + 1
-        return literal
+        return result.level(lit_var(literal))
 
     def collect_conjuncts(node: int, conjuncts: List[int], visited: set) -> None:
         """Flatten the maximal AND tree rooted at ``node`` into its conjunct literals."""
@@ -67,7 +56,7 @@ def balance(aig: Aig) -> Aig:
             operands.sort(key=arrival, reverse=True)
             first = operands.pop()
             second = operands.pop()
-            operands.append(add_and_tracked(first, second))
+            operands.append(result.add_and(first, second))
         mapping[node] = operands[0] if operands else 1
         rebuilt[node] = mapping[node]
 

@@ -131,3 +131,26 @@ def test_modification_counter_advances(tiny_aig):
     node = next(iter(tiny_aig.nodes()))
     tiny_aig.replace(node, x)
     assert tiny_aig.modification_count > before
+
+
+def test_replace_keeps_levels_live_both_ways():
+    """A replacement that lowers a deep cone's level and one that raises it
+    both leave every level equal to a recomputation (``check``)."""
+    aig = Aig()
+    a, b, c, d = (aig.add_pi() for _ in range(4))
+    chain = aig.add_and(aig.add_and(aig.add_and(a, b), c), d)   # level 3
+    top = aig.add_and(chain, a)                                  # level 4
+    aig.add_po(aig.add_and(top, lit_not(b)), "f")               # level 5
+    assert aig.depth() == 5
+    shallow = aig.add_and(c, d)                                  # level 1
+    aig.replace(lit_var(chain), shallow)
+    aig.check()
+    assert aig.level(lit_var(shallow)) == 1
+    assert aig.depth() == 3
+    deep = aig.add_and(aig.add_and(aig.add_and(b, c), d), lit_not(a))  # level 3
+    aig.replace(lit_var(shallow), deep)
+    aig.check()
+    assert aig.depth() == 5
+    removed = aig.cleanup()
+    aig.check()
+    assert removed == 0 and aig.size == 5

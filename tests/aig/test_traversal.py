@@ -14,6 +14,37 @@ def test_topological_order_respects_dependencies(medium_random_aig):
                 assert position[fanin_node] < position[node]
 
 
+def _recursive_dfs_order(aig):
+    """Reference order: post-order DFS from each live AND in id order, fanin0 first."""
+    order, seen = [], set()
+
+    def visit(node):
+        if node in seen or not aig.is_and(node):
+            return
+        seen.add(node)
+        for fanin in aig.fanins(node):
+            visit(lit_var(fanin))
+        order.append(node)
+
+    for node in aig.nodes():
+        visit(node)
+    return order
+
+
+def test_topological_order_is_the_recursive_dfs_order(medium_random_aig):
+    from repro.synth.scripts import resub_pass, rewrite_pass
+
+    aig = medium_random_aig.copy()
+    assert aig.topological_order() == _recursive_dfs_order(aig)
+    # After in-place rewiring (ids no longer follow the order) and with a
+    # dangling root left by an added gate.
+    rewrite_pass(aig)
+    resub_pass(aig)
+    first, second = list(aig.nodes())[:2]
+    aig.add_and(2 * first, 2 * second + 1)
+    assert aig.topological_order() == _recursive_dfs_order(aig)
+
+
 def test_transitive_fanin_and_fanout(tiny_aig):
     pos_driver = lit_var(tiny_aig.pos()[0])
     tfi = tiny_aig.transitive_fanin(pos_driver, include_node=True)

@@ -97,7 +97,7 @@ def test_guided_sampling_is_no_worse_than_random_on_average(example_aig):
 #: the structure only, never a cached snapshot.
 _PICKLED_FIELDS = [
     "name", "_type", "_fanin0", "_fanin1", "_fanouts", "_po_refs", "_pis",
-    "_pi_names", "_pos", "_po_names", "_strash", "_levels",
+    "_pi_names", "_pos", "_po_names", "_strash", "_levels", "_num_ands",
     "modification_count", "_forwarding", "_mutation_journal",
 ]
 

@@ -1,9 +1,10 @@
 """Property-based tests of the AIG data structure and its invariants."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.aig.aig import Aig
+from repro.aig.aig import Aig, AigCycleError
 from repro.aig.equivalence import check_equivalence
 from repro.aig.literals import lit_var
 from repro.aig.random_aig import RandomAigSpec, random_aig
@@ -98,3 +99,48 @@ def test_cut_truth_tables_consistent_with_simulation(spec):
         bit = (int(signature[word]) >> offset) & 1
         simulated |= bit << pattern
     assert simulated == table & table_mask(aig.num_pis())
+
+
+#: One mutation step: (operation, two selectors, a complement bit).  A
+#: "cycle" step replaces a node by a literal from its own transitive fanout.
+mutation_steps = st.lists(
+    st.tuples(
+        st.sampled_from(["and", "replace", "replace", "cycle", "cleanup"]),
+        st.integers(min_value=0, max_value=10_000),
+        st.integers(min_value=0, max_value=10_000),
+        st.booleans(),
+    ),
+    min_size=3,
+    max_size=30,
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(aig_specs, mutation_steps)
+def test_live_levels_and_bounded_cycle_check_under_random_mutations(spec, steps):
+    """Levels and the AND count stay live through add_and/replace/cleanup,
+    and the level-bounded cycle check agrees with the full fanin walk."""
+    aig = random_aig(spec)
+    for operation, first, second, complement in steps:
+        live = list(aig.all_live_nodes())
+        if operation == "and":
+            aig.add_and(2 * live[first % len(live)] + complement, 2 * live[second % len(live)])
+        elif operation == "cleanup":
+            aig.cleanup()
+        else:
+            targets = [node for node in live if aig.is_and(node) or aig.is_pi(node)]
+            old = targets[first % len(targets)]
+            sources = live
+            if operation == "cycle":
+                sources = sorted(aig.transitive_fanout(old)) or live
+            new_node = sources[second % len(sources)]
+            cyclic = old in aig.transitive_fanin(new_node, include_node=True)
+            assert aig._fanin_cone_contains(new_node, old) == cyclic
+            version = aig.modification_count
+            if cyclic and new_node != old:
+                with pytest.raises(AigCycleError):
+                    aig.replace(old, 2 * new_node + complement)
+                assert aig.modification_count == version
+            else:
+                aig.replace(old, 2 * new_node + complement)
+        aig.check()

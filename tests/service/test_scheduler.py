@@ -194,3 +194,47 @@ def test_close_unblocks_workers():
     thread.join(timeout=2.0)
     assert not thread.is_alive()
     assert seen == [None]
+
+
+def test_duplicate_submit_neither_copies_nor_fingerprints_the_design(monkeypatch):
+    from repro.aig.aig import Aig
+    from repro.store import fingerprint
+
+    scheduler = Scheduler(max_depth=4)
+    spec = JobSpec(kind="optimize", design="b08", options={"script": "rw; b"})
+    first, created = scheduler.submit(spec)
+    assert created
+    calls = []
+    original_copy = Aig.copy_with_mapping
+    original_hash = fingerprint._structural_hash
+
+    def copying(self, *args, **kwargs):
+        calls.append("copy")
+        return original_copy(self, *args, **kwargs)
+
+    def hashing(aig):
+        calls.append("hash")
+        return original_hash(aig)
+
+    monkeypatch.setattr(Aig, "copy_with_mapping", copying)
+    monkeypatch.setattr(fingerprint, "_structural_hash", hashing)
+    duplicate = JobSpec(kind="optimize", design="b08", options={"script": "rw; b"})
+    second, created = scheduler.submit(duplicate)
+    assert second is first and not created
+    assert calls == []
+
+
+def test_rewritten_netlist_gets_a_new_key(tmp_path):
+    from repro.circuits.benchmarks import load_benchmark
+    from repro.engine.engine import save_design
+
+    path = str(tmp_path / "design.aag")
+    save_design(load_benchmark("b08"), path)
+    scheduler = Scheduler(max_depth=4)
+    spec = JobSpec(kind="optimize", design=path, options={"script": "rw"})
+    first, created = scheduler.submit(spec)
+    assert created
+    assert scheduler.submit(spec) == (first, False)
+    save_design(load_benchmark("b09"), path)
+    second, created = scheduler.submit(spec)
+    assert created and second.job_id != first.job_id
