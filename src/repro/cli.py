@@ -314,15 +314,29 @@ def _cmd_benchmarks(args: argparse.Namespace) -> int:
 # --------------------------------------------------------------------------- #
 # Service sub-commands
 # --------------------------------------------------------------------------- #
-def _cmd_serve(args: argparse.Namespace) -> int:
+def _serve_until_terminated(server, port_file: Optional[str]) -> None:
+    """Run ``server.serve_forever()`` until SIGTERM or Ctrl-C.
+
+    SIGTERM raises :class:`KeyboardInterrupt` like Ctrl-C, so the server
+    drains and the caller can report.  ``port_file`` receives the bound port
+    as one ``"<port>\\n"`` line, which scripts wait for before connecting.
+    """
     import signal
 
-    from repro.service import ServiceServer, SynthesisService
-
-    def _terminate(signum, frame):  # SIGTERM == Ctrl-C: drain and report
+    def _terminate(signum, frame):
         raise KeyboardInterrupt
 
     signal.signal(signal.SIGTERM, _terminate)
+    if port_file:
+        with open(port_file, "w", encoding="ascii") as handle:
+            handle.write(f"{server.port}\n")
+    sys.stdout.flush()
+    server.serve_forever()
+
+
+def _cmd_serve(args: argparse.Namespace) -> int:
+    from repro.service import ServiceServer, SynthesisService
+
     service = SynthesisService(
         num_workers=args.workers,
         max_depth=args.queue_size,
@@ -332,11 +346,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     )
     server = ServiceServer(service, host=args.host, port=args.port)
     print(f"serving on {server.url} ({args.workers} workers, queue {args.queue_size})")
-    if args.port_file:
-        with open(args.port_file, "w", encoding="ascii") as handle:
-            handle.write(f"{server.port}\n")
-    sys.stdout.flush()
-    server.serve_forever()
+    _serve_until_terminated(server, args.port_file)
     if args.report:
         from repro.service.metrics import format_series_report
 
@@ -452,14 +462,8 @@ def _parse_shards(entries: List[str]) -> dict:
 
 
 def _cmd_route(args: argparse.Namespace) -> int:
-    import signal
-
     from repro.service import Router, RouterServer
 
-    def _terminate(signum, frame):  # SIGTERM == Ctrl-C: drain and report
-        raise KeyboardInterrupt
-
-    signal.signal(signal.SIGTERM, _terminate)
     router = Router(
         _parse_shards(args.shard),
         replicas=args.replicas,
@@ -474,11 +478,7 @@ def _cmd_route(args: argparse.Namespace) -> int:
         f"routing on {server.url} across {len(healthy)} shards "
         f"({up} healthy: {', '.join(sorted(name for name, ok in healthy.items() if ok)) or '-'})"
     )
-    if args.port_file:
-        with open(args.port_file, "w", encoding="ascii") as handle:
-            handle.write(f"{server.port}\n")
-    sys.stdout.flush()
-    server.serve_forever()
+    _serve_until_terminated(server, args.port_file)
     if args.report:
         from repro.service.metrics import format_series_report
 

@@ -4,8 +4,9 @@ This module is the single source of truth for the client-visible contract of
 the synthesis service, introduced when the HTTP surface moved under
 versioned ``/v1/...`` paths:
 
-* :data:`API_VERSION` / :func:`versioned` — the route prefix.  A path
-  without it answers ``404`` (``not_found``).
+* :data:`API_VERSION` / :func:`versioned` — the route prefix, which
+  :mod:`repro.httpd` strips on every front end.  A path without it answers
+  ``404`` (``not_found``).
 * :func:`error_payload` — the structured JSON error envelope
   ``{"error": {"code", "message", "job_id"}}`` every server-side failure is
   rendered as (no more bare status strings).  :data:`ERROR_CODES` enumerates
@@ -25,8 +26,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Optional, Protocol, Union, runtime_checkable
 
-#: Current API version; all canonical routes live under this prefix.
-API_VERSION = "v1"
+from repro.httpd import API_VERSION
 
 #: The error codes a server may put in the ``error.code`` field.
 ERROR_CODES = (

@@ -28,7 +28,7 @@ import json
 import time
 import urllib.error
 import urllib.request
-from typing import Dict, Optional, Union
+from typing import Any, Callable, Dict, Optional, Union
 
 from repro.obs.trace import TRACEPARENT_HEADER, TRACER
 from repro.service.api import error_fields, error_payload, versioned
@@ -113,7 +113,9 @@ class HttpServiceClient:
         self.request_timeout = request_timeout
 
     # Transport ---------------------------------------------------------- #
-    def _request(self, method: str, path: str, payload: Optional[Dict] = None):
+    def _request(self, method: str, path: str, payload: Optional[Dict] = None,
+                 decode: Callable[[bytes], Any] = json.loads):
+        """``(status, body)``; ``decode`` parses a success body, JSON an error's."""
         headers = {"Content-Type": "application/json"}
         if TRACER.enabled:
             traceparent = TRACER.current_traceparent()
@@ -127,7 +129,7 @@ class HttpServiceClient:
         )
         try:
             with urllib.request.urlopen(request, timeout=self.request_timeout) as response:
-                return response.status, json.loads(response.read())
+                return response.status, decode(response.read())
         except urllib.error.HTTPError as error:
             try:
                 body = json.loads(error.read())
@@ -203,14 +205,11 @@ class HttpServiceClient:
 
     def metrics_prometheus(self) -> str:
         """The Prometheus text-format variant of ``/v1/metrics``."""
-        request = urllib.request.Request(
-            self.base_url + versioned("/metrics?format=prometheus")
+        status, body = self._request(
+            "GET", versioned("/metrics?format=prometheus"), decode=bytes.decode
         )
-        try:
-            with urllib.request.urlopen(request, timeout=self.request_timeout) as response:
-                return response.read().decode("utf-8")
-        except _CONNECTION_ERRORS as error:
-            raise TransportError(f"{self.base_url}: {error}") from None
+        raise_for_error(status, body)
+        return body
 
     def healthz(self) -> bool:
         try:

@@ -37,7 +37,9 @@ distinguishes fleet members.
 :class:`Router` implements the same
 :class:`~repro.service.api.ServiceClient` protocol as the clients, and
 :class:`RouterServer` re-exposes it over the identical versioned HTTP API —
-a client pointed at a router cannot tell it from a single service.
+a client pointed at a router cannot tell it from a single service.  Its
+handler shares the service's :class:`~repro.service.server.JsonRequestHandler`
+and the socket, keep-alive and lifecycle code of :mod:`repro.httpd`.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ import threading
 import time
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
+from repro.httpd import BoundServer
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import TRACEPARENT_HEADER, TRACER
 from repro.service.api import error_payload, versioned
@@ -58,7 +61,7 @@ from repro.service.client import (
 from repro.service.hashing import DEFAULT_REPLICAS, HashRing
 from repro.service.jobs import JobSpec
 from repro.service.metrics import render_prometheus
-from repro.service.server import FleetHTTPServer, JsonRequestHandler
+from repro.service.server import JsonRequestHandler
 from repro.store.fingerprint import combine_keys
 
 
@@ -484,11 +487,11 @@ class Router:
 class _RouterRequestHandler(JsonRequestHandler):
     @property
     def router(self) -> Router:
-        return self.server.router  # type: ignore[attr-defined]
+        return self.server.served  # type: ignore[attr-defined]
 
     def handle_post(self, parts: List[str], query: Dict) -> None:
         if parts != ["submit"]:
-            self._send_error(404, "not_found", f"unknown endpoint {'/'.join(parts)!r}")
+            self.unknown_endpoint("/".join(parts))
             return
         try:
             payload = self._read_json()
@@ -549,16 +552,14 @@ class _RouterRequestHandler(JsonRequestHandler):
             elif len(parts) == 2 and parts[0] == "trace":
                 self._send_json(200, self.router.trace(parts[1]))
             else:
-                self._send_error(
-                    404, "not_found", f"unknown endpoint {'/'.join(parts)!r}"
-                )
+                self.unknown_endpoint("/".join(parts))
         except ServiceError as error:
             self._send_json(error.status, error.payload)
         except ValueError as error:
             self._send_error(400, "bad_request", str(error))
 
 
-class RouterServer:
+class RouterServer(BoundServer):
     """A :class:`Router` bound to a listening HTTP socket.
 
     Serves the identical versioned API as a single-service
@@ -568,49 +569,11 @@ class RouterServer:
     """
 
     def __init__(self, router: Router, host: str = "127.0.0.1", port: int = 0) -> None:
+        super().__init__(router, _RouterRequestHandler, host, port)
         self.router = router
-        self.httpd = FleetHTTPServer((host, port), _RouterRequestHandler)
-        self.httpd.router = router  # type: ignore[attr-defined]
-        self.host = self.httpd.server_address[0]
-        self.port = self.httpd.server_address[1]
-        self._thread: Optional[threading.Thread] = None
 
-    @property
-    def url(self) -> str:
-        return f"http://{self.host}:{self.port}"
-
-    def start(self) -> "RouterServer":
+    def _start_served(self) -> None:
         self.router.start()
-        if self._thread is None:
-            self._thread = threading.Thread(
-                target=self.httpd.serve_forever,
-                name="boolgebra-router-http",
-                daemon=True,
-            )
-            self._thread.start()
-        return self
 
-    def stop(self) -> None:
-        if self._thread is not None:
-            self.httpd.shutdown()
-            self._thread.join(timeout=10.0)
-            self._thread = None
-        self.httpd.server_close()
+    def _stop_served(self) -> None:
         self.router.close()
-
-    def serve_forever(self) -> None:
-        """Blocking serve loop for ``boolgebra route`` (Ctrl-C returns cleanly)."""
-        self.router.start()
-        try:
-            self.httpd.serve_forever()
-        except KeyboardInterrupt:
-            pass
-        finally:
-            self.httpd.server_close()
-            self.router.close()
-
-    def __enter__(self) -> "RouterServer":
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()

@@ -5,8 +5,8 @@ registry and an optional artifact store into one start/stoppable object — the
 in-process API that :class:`~repro.service.client.InProcessClient`, the CLI
 and the test-suite drive directly.
 
-:class:`ServiceServer` exposes a running service over HTTP using only
-:mod:`http.server` (``ThreadingHTTPServer`` — one thread per connection, no
+:class:`ServiceServer` exposes a running service over HTTP on the stdlib
+stack of :mod:`repro.httpd` (one thread per connection, keep-alive, no
 third-party dependencies).  All bodies are JSON; every route lives under
 the versioned ``/v1`` prefix (:mod:`repro.service.api`), and a path without
 it answers ``404`` (``not_found``).  Failures are structured
@@ -34,22 +34,21 @@ it answers ``404`` (``not_found``).  Failures are structured
 ``GET /v1/healthz``
     ``200 {"status": "ok"}`` while the service accepts work.
 
-The request-handler plumbing (JSON bodies, version-prefix handling, error
-envelopes) is shared with the cluster router's front end via
-:class:`JsonRequestHandler`.
+The router's front end shares the error envelopes, JSON bodies and the
+``?wait=`` parsing through :class:`JsonRequestHandler`; the socket, the
+keep-alive rules and the lifecycle come from :mod:`repro.httpd`, which the
+store server uses too.
 """
 
 from __future__ import annotations
 
 import json
-import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, List, Optional, Tuple, Union
-from urllib.parse import parse_qs, urlparse
 
+from repro.httpd import BoundServer, RequestHandler
 from repro.obs.metrics import REGISTRY, MetricsRegistry
 from repro.obs.trace import TRACEPARENT_HEADER, TRACER
-from repro.service.api import API_VERSION, error_payload
+from repro.service.api import error_payload
 from repro.service.jobs import DONE, FAILED, Job, JobSpec
 from repro.service.metrics import ServiceMetrics
 from repro.service.scheduler import QueueFull, Scheduler, UnknownJob
@@ -218,42 +217,18 @@ class SynthesisService:
 # --------------------------------------------------------------------------- #
 # HTTP front end
 # --------------------------------------------------------------------------- #
-class JsonRequestHandler(BaseHTTPRequestHandler):
-    """Shared plumbing of the service and router front ends.
+class JsonRequestHandler(RequestHandler):
+    """What the service and router front ends add to the shared handler.
 
     Subclasses implement ``handle_get(parts, query)`` / ``handle_post(parts,
-    query)`` against *version-stripped* path parts: the ``/v1`` prefix is
-    removed before dispatch, and a path without it answers ``404``
-    (``not_found``) here.
+    query)`` against *version-stripped* path parts.  Failures are
+    structured error envelopes: an unknown endpoint, a path without the
+    ``/v1`` prefix included, answers ``404`` (``not_found``).
     """
 
     server_version = "boolgebra-service/2.0"
-    protocol_version = "HTTP/1.1"
-    # Headers and body go out as two writes: with Nagle on, a keep-alive
-    # client's delayed ACK holds every response after the first (~40 ms).
-    disable_nagle_algorithm = True
-    #: The current request's body once read (see :meth:`_read_body`).
-    _body: Optional[bytes] = None
-
-    def log_message(self, format: str, *args) -> None:  # noqa: A002
-        pass  # request logging is the metrics' job; keep stdio clean
 
     # Helpers ------------------------------------------------------------ #
-    def _send_bytes(self, code: int, body: bytes, content_type: str,
-                    headers: Optional[Dict] = None) -> None:
-        self._read_body()
-        self.send_response(code)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        for name, value in (headers or {}).items():
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _send_json(self, code: int, payload: Dict, headers: Optional[Dict] = None) -> None:
-        body = json.dumps(payload, sort_keys=True).encode("ascii")
-        self._send_bytes(code, body, "application/json", headers)
-
     def _send_text(self, code: int, text: str, headers: Optional[Dict] = None) -> None:
         self._send_bytes(
             code, text.encode("utf-8"), "text/plain; version=0.0.4; charset=utf-8", headers
@@ -272,22 +247,8 @@ class JsonRequestHandler(BaseHTTPRequestHandler):
             http_status, error_payload(code, message, job_id, **extra), headers
         )
 
-    def _read_body(self) -> bytes:
-        """The request's ``Content-Length`` bytes, read from the socket once.
-
-        Every answer reads them first, an error answer included, so that on
-        a keep-alive connection the next request starts after this one's
-        body instead of inside it.  Without a readable length, where the
-        body ends is unknown, so the connection closes after the answer.
-        """
-        if self._body is None:
-            try:
-                length = int(self.headers.get("Content-Length") or 0)
-            except ValueError:
-                length = 0
-                self.close_connection = True
-            self._body = self.rfile.read(length) if length > 0 else b""
-        return self._body
+    def unknown_endpoint(self, path: str) -> None:
+        self._send_error(404, "not_found", f"unknown endpoint {path!r}")
 
     def _read_json(self) -> Dict:
         body = self._read_body()
@@ -323,15 +284,6 @@ class JsonRequestHandler(BaseHTTPRequestHandler):
     def do_GET(self) -> None:  # noqa: N802 - http.server API
         self._dispatch(self.handle_get)
 
-    def _dispatch(self, handler) -> None:
-        self._body = None
-        parsed = urlparse(self.path)
-        parts = [part for part in parsed.path.split("/") if part]
-        if parts[:1] != [API_VERSION]:
-            self._send_error(404, "not_found", f"unknown endpoint {parsed.path!r}")
-            return
-        handler(parts[1:], parse_qs(parsed.query))
-
     # Subclass surface ----------------------------------------------------- #
     def handle_post(self, parts: List[str], query: Dict) -> None:
         raise NotImplementedError
@@ -360,12 +312,12 @@ def result_view(job: Job) -> Tuple[int, Dict]:
 class _ServiceRequestHandler(JsonRequestHandler):
     @property
     def service(self) -> SynthesisService:
-        return self.server.service  # type: ignore[attr-defined]
+        return self.server.served  # type: ignore[attr-defined]
 
     # Routes ------------------------------------------------------------- #
     def handle_post(self, parts: List[str], query: Dict) -> None:
         if parts != ["submit"]:
-            self._send_error(404, "not_found", f"unknown endpoint {'/'.join(parts)!r}")
+            self.unknown_endpoint("/".join(parts))
             return
         traceparent = self.headers.get(TRACEPARENT_HEADER)
         with TRACER.activate(traceparent) as remote:
@@ -412,9 +364,7 @@ class _ServiceRequestHandler(JsonRequestHandler):
             elif len(parts) == 2 and parts[0] == "trace":
                 self._send_json(200, self.service.trace(parts[1]))
             else:
-                self._send_error(
-                    404, "not_found", f"unknown endpoint {'/'.join(parts)!r}"
-                )
+                self.unknown_endpoint("/".join(parts))
         except UnknownJob as error:
             self._send_error(404, "not_found", str(error), job_id=error.job_id)
         except ValueError as error:
@@ -436,21 +386,7 @@ class _ServiceRequestHandler(JsonRequestHandler):
         self._send_json(code, body)
 
 
-class FleetHTTPServer(ThreadingHTTPServer):
-    """``ThreadingHTTPServer`` with an accept backlog sized for bursty traffic.
-
-    The :mod:`socketserver` default backlog of 5 makes concurrent clients —
-    the async load generator, a router fanning a burst across its shards —
-    overflow the listen queue, and every dropped SYN costs its connection a
-    ~1s kernel retransmit.  One class attribute removes that artificial
-    latency cliff for the service, router and store servers alike.
-    """
-
-    daemon_threads = True
-    request_queue_size = 128
-
-
-class ServiceServer:
+class ServiceServer(BoundServer):
     """A :class:`SynthesisService` bound to a listening HTTP socket.
 
     ``port=0`` binds an ephemeral port; the actual port is available as
@@ -464,51 +400,11 @@ class ServiceServer:
         host: str = "127.0.0.1",
         port: int = 0,
     ) -> None:
+        super().__init__(service, _ServiceRequestHandler, host, port)
         self.service = service
-        self.httpd = FleetHTTPServer((host, port), _ServiceRequestHandler)
-        self.httpd.service = service  # type: ignore[attr-defined]
-        self.host = self.httpd.server_address[0]
-        self.port = self.httpd.server_address[1]
-        self._thread: Optional[threading.Thread] = None
 
-    @property
-    def url(self) -> str:
-        return f"http://{self.host}:{self.port}"
-
-    def start(self) -> "ServiceServer":
-        """Start the service workers and the HTTP listener thread."""
+    def _start_served(self) -> None:
         self.service.start()
-        if self._thread is None:
-            self._thread = threading.Thread(
-                target=self.httpd.serve_forever,
-                name="boolgebra-http",
-                daemon=True,
-            )
-            self._thread.start()
-        return self
 
-    def stop(self) -> None:
-        """Stop listening, then stop the service workers."""
-        if self._thread is not None:
-            self.httpd.shutdown()
-            self._thread.join(timeout=10.0)
-            self._thread = None
-        self.httpd.server_close()
+    def _stop_served(self) -> None:
         self.service.stop()
-
-    def serve_forever(self) -> None:
-        """Blocking serve loop for the CLI (Ctrl-C returns cleanly)."""
-        self.service.start()
-        try:
-            self.httpd.serve_forever()
-        except KeyboardInterrupt:
-            pass
-        finally:
-            self.httpd.server_close()
-            self.service.stop()
-
-    def __enter__(self) -> "ServiceServer":
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()

@@ -29,22 +29,23 @@ The wire protocol is deliberately dumb — a keyed blob store::
     GET    /v1/healthz                  -> {"status": "ok"}
     any other path                      -> 404
 
-served by :class:`StoreServer` straight from an ``ArtifactStore`` directory
-using only :mod:`http.server`, with :class:`HttpStoreClient` as the matching
-``urllib`` client.  This module depends only on :mod:`repro.store` — the
-service layer imports it, never the other way around.
+served by :class:`StoreServer` straight from an ``ArtifactStore`` directory,
+with :class:`HttpStoreClient` as the matching ``urllib`` client.  The server
+shares its socket, keep-alive and lifecycle code with the service and router
+front ends through :mod:`repro.httpd` but keeps its own JSON error bodies.
+This module imports nothing of the service layer — the service layer imports
+it, never the other way around.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import threading
 import urllib.error
 import urllib.request
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, List, Optional, Union
 
+from repro.httpd import BoundServer, RequestHandler
 from repro.obs.metrics import REGISTRY
 from repro.obs.trace import TRACER
 from repro.store.artifacts import _STORE_BYTES, _STORE_LOOKUPS, KINDS, ArtifactStore
@@ -54,18 +55,6 @@ _REMOTE_ERRORS = (urllib.error.URLError, ConnectionError, TimeoutError, OSError)
 
 #: Process-wide mirror of every ``tier_stats`` increment, labeled by event.
 _TIER_EVENTS = REGISTRY.counter("store_tier_events")
-
-
-class _StoreHTTPServer(ThreadingHTTPServer):
-    """Threaded server with an accept backlog sized for a whole fleet.
-
-    Mirrors :class:`repro.service.server.FleetHTTPServer` (the store layer
-    must not import the service layer): the socketserver default backlog of
-    5 would put concurrently read-through-ing shards into ~1s SYN retries.
-    """
-
-    daemon_threads = True
-    request_queue_size = 128
 
 
 class HttpStoreClient:
@@ -264,33 +253,20 @@ class TieredStore(ArtifactStore):
 # --------------------------------------------------------------------------- #
 # The shared L2 server
 # --------------------------------------------------------------------------- #
-class _StoreRequestHandler(BaseHTTPRequestHandler):
+class _StoreRequestHandler(RequestHandler):
     server_version = "boolgebra-store/1.0"
-    protocol_version = "HTTP/1.1"
-
-    def log_message(self, format: str, *args) -> None:  # noqa: A002
-        pass
 
     @property
     def store_root(self) -> str:
-        return self.server.store_root  # type: ignore[attr-defined]
+        return self.server.served.root  # type: ignore[attr-defined]
 
-    # Helpers ------------------------------------------------------------ #
-    def _send(self, code: int, body: bytes = b"", content_type: str = "application/json") -> None:
-        self.send_response(code)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        if body:
-            self.wfile.write(body)
-
-    def _send_json(self, code: int, payload: Dict) -> None:
-        self._send(code, json.dumps(payload, sort_keys=True).encode("ascii"))
+    def unknown_endpoint(self, path: str) -> None:
+        self._send_json(404, {"error": "unknown endpoint"})
 
     def _blob_path(self, parts: List[str]) -> Optional[str]:
         """Validate ``["blob", kind, filename]``; ``None`` sends the error."""
         if len(parts) != 3 or parts[0] != "blob":
-            self._send_json(404, {"error": "unknown endpoint"})
+            self.unknown_endpoint("/".join(parts))
             return None
         kind, filename = parts[1], parts[2]
         if kind not in KINDS or "/" in filename or os.sep in filename or ".." in filename:
@@ -298,15 +274,17 @@ class _StoreRequestHandler(BaseHTTPRequestHandler):
             return None
         return os.path.join(self.store_root, kind, filename)
 
-    @staticmethod
-    def _split(path: str) -> List[str]:
-        """The path's parts after ``/v1``; none, an unknown endpoint, without it."""
-        parts = [part for part in path.split("?", 1)[0].split("/") if part]
-        return parts[1:] if parts[:1] == ["v1"] else []
-
     # Routes ------------------------------------------------------------- #
     def do_GET(self) -> None:  # noqa: N802 - http.server API
-        parts = self._split(self.path)
+        self._dispatch(self._get)
+
+    def do_PUT(self) -> None:  # noqa: N802 - http.server API
+        self._dispatch(self._put)
+
+    def do_DELETE(self) -> None:  # noqa: N802 - http.server API
+        self._dispatch(self._delete)
+
+    def _get(self, parts: List[str], query: Dict) -> None:
         if parts == ["healthz"]:
             self._send_json(200, {"status": "ok"})
             return
@@ -332,22 +310,22 @@ class _StoreRequestHandler(BaseHTTPRequestHandler):
         except OSError:
             self._send_json(404, {"error": "blob not found"})
             return
-        self._send(200, data, "application/octet-stream")
+        self._send_bytes(200, data, "application/octet-stream")
 
-    def do_PUT(self) -> None:  # noqa: N802 - http.server API
-        # The body is read before any answer, an error included, so a
-        # keep-alive connection's next request starts after it.
-        length = int(self.headers.get("Content-Length", 0))
-        data = self.rfile.read(length) if length > 0 else b""
-        path = self._blob_path(self._split(self.path))
+    def _put(self, parts: List[str], query: Dict) -> None:
+        path = self._blob_path(parts)
         if path is None:
+            return
+        data = self._read_body()
+        if data is None:
+            self._send_json(400, {"error": "invalid Content-Length header"})
             return
         os.makedirs(os.path.dirname(path), exist_ok=True)
         ArtifactStore._replace_into(path, lambda stream: stream.write(data))
-        self._send(204)
+        self._send_bytes(204, b"", "application/json")
 
-    def do_DELETE(self) -> None:  # noqa: N802 - http.server API
-        path = self._blob_path(self._split(self.path))
+    def _delete(self, parts: List[str], query: Dict) -> None:
+        path = self._blob_path(parts)
         if path is None:
             return
         try:
@@ -355,14 +333,14 @@ class _StoreRequestHandler(BaseHTTPRequestHandler):
         except OSError:
             self._send_json(404, {"error": "blob not found"})
             return
-        self._send(204)
+        self._send_bytes(204, b"", "application/json")
 
 
-class StoreServer:
+class StoreServer(BoundServer):
     """An :class:`ArtifactStore` directory served as the shared L2 tier.
 
-    ``port=0`` binds an ephemeral port (see ``server.url``), the same idiom
-    as :class:`~repro.service.server.ServiceServer`.
+    ``port=0`` binds an ephemeral port (see ``server.url``), as on every
+    :class:`~repro.httpd.BoundServer`.
     """
 
     def __init__(
@@ -372,33 +350,4 @@ class StoreServer:
         port: int = 0,
     ) -> None:
         self.store = store if isinstance(store, ArtifactStore) else ArtifactStore(store)
-        self.httpd = _StoreHTTPServer((host, port), _StoreRequestHandler)
-        self.httpd.store_root = self.store.root  # type: ignore[attr-defined]
-        self.host = self.httpd.server_address[0]
-        self.port = self.httpd.server_address[1]
-        self._thread: Optional[threading.Thread] = None
-
-    @property
-    def url(self) -> str:
-        return f"http://{self.host}:{self.port}"
-
-    def start(self) -> "StoreServer":
-        if self._thread is None:
-            self._thread = threading.Thread(
-                target=self.httpd.serve_forever, name="boolgebra-store-http", daemon=True
-            )
-            self._thread.start()
-        return self
-
-    def stop(self) -> None:
-        if self._thread is not None:
-            self.httpd.shutdown()
-            self._thread.join(timeout=10.0)
-            self._thread = None
-        self.httpd.server_close()
-
-    def __enter__(self) -> "StoreServer":
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
+        super().__init__(self.store, _StoreRequestHandler, host, port)

@@ -23,6 +23,7 @@ from repro.service import (
     canonical_payload_bytes,
     execute_spec,
 )
+from repro.store import StoreServer
 
 OPTIMIZE_SPEC = {"kind": "optimize", "design": "b08", "options": {"script": "rw; b"}}
 
@@ -207,8 +208,12 @@ def test_service_result_timeout():
     service.scheduler.close()
 
 
-def test_keep_alive_requests_are_not_held_by_delayed_acks(server, keep_alive_median):
+def test_keep_alive_requests_are_not_held_by_delayed_acks(
+    server, keep_alive_median, tmp_path
+):
     # Headers and body are two writes; with Nagle on, every response after
     # the first on a kept-alive connection waited for the client's delayed
     # ACK (~40 ms).
     assert keep_alive_median(server.url) < 0.020
+    with StoreServer(str(tmp_path)) as store:
+        assert keep_alive_median(store.url) < 0.020

@@ -20,8 +20,10 @@ from repro.service import (
     JobSpec,
     Router,
     RouterServer,
+    ServiceError,
     ServiceServer,
     SynthesisService,
+    TransportError,
 )
 from repro.service.api import (
     API_VERSION,
@@ -119,9 +121,40 @@ def test_error_answers_read_the_body_of_a_keep_alive_request(server, router, tmp
             first, second, payload = _then_healthz(front.url, "POST", path, body)
             assert (first, second, payload["status"]) == (404, 200, "ok"), (front, path)
     with StoreServer(str(tmp_path)) as store:
-        for path, status in (("/v1/nope/x", 404), ("/v1/blob/bogus/x.json", 400)):
-            first, second, payload = _then_healthz(store.url, "PUT", path, body)
-            assert (first, second, payload) == (status, 200, {"status": "ok"}), path
+        for method, path, status in (
+            ("PUT", "/v1/nope/x", 404),
+            ("PUT", "/v1/blob/bogus/x.json", 400),
+            ("GET", "/v1/blob/samples/absent.json", 404),
+            ("DELETE", "/v1/blob/samples/absent.json", 404),
+        ):
+            first, second, payload = _then_healthz(store.url, method, path, body)
+            assert (first, second, payload) == (status, 200, {"status": "ok"}), (method, path)
+
+
+def test_an_unreadable_content_length_answers_400_and_closes(server, router, tmp_path):
+    # Where a body with ``Content-Length: abc`` ends is unknown: the answer
+    # is a 400 JSON body, and the connection closes after it.
+    def send(url, method, path):
+        parsed = urlparse(url)
+        connection = http.client.HTTPConnection(parsed.hostname, parsed.port, timeout=30.0)
+        try:
+            connection.putrequest(method, path)
+            connection.putheader("Content-Length", "abc")
+            connection.endheaders()
+            response = connection.getresponse()
+            payload = json.loads(response.read())
+            connection.sock.settimeout(10.0)
+            return response.status, payload, connection.sock.recv(1)
+        finally:
+            connection.close()
+
+    for front in (server, router):
+        status, payload, after = send(front.url, "POST", "/v1/submit")
+        assert (status, payload["error"]["code"], after) == (400, "bad_request", b""), front
+    with StoreServer(str(tmp_path)) as store:
+        status, payload, after = send(store.url, "PUT", "/v1/blob/samples/x.json")
+        assert (status, after) == (400, b"") and "Content-Length" in payload["error"]
+    assert not (tmp_path / "samples").exists()
 
 
 def test_errors_carry_the_structured_envelope(server):
@@ -193,6 +226,17 @@ def _histogram_violations(text):
                     bad.append(line)
                 break
     return histograms, bad
+
+
+def test_prometheus_scrape_raises_the_servers_error_like_json_metrics(server):
+    # An error answer is the server's ServiceError, not an unreachable
+    # server's TransportError (503 shard_unavailable).
+    client = HttpServiceClient(server.url + "/nope")
+    for scrape in (client.metrics, client.metrics_prometheus):
+        with pytest.raises(ServiceError) as error:
+            scrape()
+        assert not isinstance(error.value, TransportError)
+        assert (error.value.status, error.value.code) == (404, "not_found")
 
 
 def test_prometheus_histogram_families_hold_only_histogram_samples(server, router):
