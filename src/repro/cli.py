@@ -421,12 +421,12 @@ def _cmd_submit(args: argparse.Namespace) -> int:
     spec = JobSpec.from_dict(_build_job_spec(args))
     try:
         if args.url:
-            client = HttpServiceClient(args.url)
-            submitted = client.submit(spec)
-            if not args.wait:
-                print(json.dumps(submitted, sort_keys=True))
-                return 0
-            payload = client.result(submitted["job_id"], timeout=args.result_timeout)
+            with HttpServiceClient(args.url) as client:
+                submitted = client.submit(spec)
+                if not args.wait:
+                    print(json.dumps(submitted, sort_keys=True))
+                    return 0
+                payload = client.result(submitted["job_id"], timeout=args.result_timeout)
             print(json.dumps(payload, sort_keys=True))
             return 0
         # No URL: run the job on an ephemeral in-process service.

@@ -1,4 +1,4 @@
-"""The HTTP plumbing shared by every front end of the program.
+"""The HTTP plumbing shared by every front end and client of the program.
 
 The synthesis service (:class:`~repro.service.server.ServiceServer`), the
 cluster router (:class:`~repro.service.cluster.RouterServer`) and the shared
@@ -7,14 +7,21 @@ ends on one stdlib :mod:`http.server` stack, so the same rules hold on all
 three:
 
 * :class:`FleetHTTPServer` — one daemon thread per connection and an accept
-  backlog of 128.
+  backlog of 128.  Closing it ends the connections still open: a request
+  in flight gets its answer, and no request read afterwards gets one.
 * :class:`RequestHandler` — HTTP/1.1 keep-alive with Nagle's algorithm
-  off, the request body read once before any answer, and dispatch on the
+  off, the request body read once before any answer, ``Connection: close``
+  on every answer after which the connection closes, and dispatch on the
   path with the ``/v1`` prefix stripped.  Each front end answers unknown
-  endpoints in its own format.
+  endpoints, and the protocol errors :mod:`http.server` answers itself
+  (unsupported method, malformed request line), in its own JSON format.
 * :class:`BoundServer` — the listening socket (``url``, ``port``),
   ``start`` on a thread, ``stop``, a blocking ``serve_forever`` that
   Ctrl-C returns from, and the context manager.
+
+The client side is :class:`ConnectionPool`: persistent ``http.client``
+connections to one base URL, shared by threads, behind the blocking service
+client (and so the router's hops to its shards) and the L2 store client.
 
 This module imports nothing of the program, so the store layer serves HTTP
 without importing the service layer.
@@ -22,17 +29,31 @@ without importing the service layer.
 
 from __future__ import annotations
 
+import http.client
 import json
+import socket
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Callable, Dict, List, Optional
-from urllib.parse import parse_qs, urlparse
+from typing import Any, Callable, Dict, List, Optional, Tuple
+from urllib.parse import parse_qs, urlparse, urlsplit
 
 #: Current API version; every route of every front end lives under it.
 API_VERSION = "v1"
 
 #: ``RequestHandler._body`` before the current request's body is read.
 _UNREAD: Any = object()
+
+#: Idle connections a :class:`ConnectionPool` keeps; one returned to a full
+#: pool is closed.
+MAX_IDLE = 8
+
+#: What a pooled request raises when the peer cannot be reached or does not
+#: answer in HTTP: refused, reset, timed out, cut short.
+TRANSPORT_ERRORS = (http.client.HTTPException, OSError)
+
+#: How a reused connection fails when the peer dropped it before reading the
+#: request (``http.client.RemoteDisconnected`` is a ``ConnectionResetError``).
+_DROPPED = (ConnectionResetError, BrokenPipeError)
 
 
 class FleetHTTPServer(ThreadingHTTPServer):
@@ -41,11 +62,50 @@ class FleetHTTPServer(ThreadingHTTPServer):
     The :mod:`socketserver` default backlog of 5 makes concurrent clients —
     the async load generator, a router fanning a burst across its shards,
     shards reading through to the shared store — overflow the listen queue,
-    and every dropped SYN costs its connection a ~1s kernel retransmit.
+    and every dropped SYN costs its connection a ~1s kernel retransmit.  It
+    also keeps the set of open connections, which :meth:`server_close`
+    ends.
     """
 
     daemon_threads = True
     request_queue_size = 128
+    #: Set by :meth:`server_close`; a request read afterwards gets no answer.
+    closing = False
+
+    def __init__(self, *args, **kwargs) -> None:
+        self._connections: set = set()
+        self._connections_lock = threading.Lock()
+        super().__init__(*args, **kwargs)
+
+    def process_request(self, request, client_address) -> None:
+        with self._connections_lock:
+            self._connections.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request) -> None:
+        with self._connections_lock:
+            self._connections.discard(request)
+        super().shutdown_request(request)
+
+    def server_close(self) -> None:
+        """Close the listener, then end every connection still open.
+
+        A handler thread serves its connection until the client closes it,
+        and a pooled client keeps it open: without this, a stopped front
+        end would go on answering on it.  Shutting the read side wakes an
+        idle handler with end-of-file, so it closes its connection; a
+        request being served still gets its answer, and one read from now
+        on gets none (see :meth:`RequestHandler._dispatch`).
+        """
+        self.closing = True
+        super().server_close()
+        with self._connections_lock:
+            connections = list(self._connections)
+        for request in connections:
+            try:
+                request.shutdown(socket.SHUT_RD)
+            except OSError:
+                pass  # its handler closed it meanwhile
 
 
 class RequestHandler(BaseHTTPRequestHandler):
@@ -53,8 +113,8 @@ class RequestHandler(BaseHTTPRequestHandler):
 
     A subclass gives each HTTP method it serves a ``do_<METHOD>`` that calls
     :meth:`_dispatch` with its route handler, and implements
-    :meth:`unknown_endpoint`.  Route handlers take the *version-stripped*
-    path parts and the parsed query.
+    :meth:`unknown_endpoint` and :meth:`error_body`.  Route handlers take
+    the *version-stripped* path parts and the parsed query.
     """
 
     protocol_version = "HTTP/1.1"
@@ -94,6 +154,9 @@ class RequestHandler(BaseHTTPRequestHandler):
         self.send_header("Content-Length", str(len(body)))
         for name, value in (headers or {}).items():
             self.send_header(name, value)
+        if self.close_connection:
+            # Tells a keep-alive client not to reuse the connection.
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
@@ -105,8 +168,13 @@ class RequestHandler(BaseHTTPRequestHandler):
         """Run ``route(parts, query)`` on the path's parts after ``/v1``.
 
         A path without the prefix gets :meth:`unknown_endpoint` instead.
+        On a closing server the connection ends unanswered: the client finds
+        the front end gone, as it would on a new connection.
         """
         self._body = _UNREAD
+        if self.server.closing:
+            self.close_connection = True
+            return
         parsed = urlparse(self.path)
         parts = [part for part in parsed.path.split("/") if part]
         if parts[:1] != [API_VERSION]:
@@ -114,8 +182,32 @@ class RequestHandler(BaseHTTPRequestHandler):
             return
         route(parts[1:], parse_qs(parsed.query))
 
+    def send_error(self, code: int, message: Optional[str] = None,
+                   explain: Optional[str] = None) -> None:
+        """Answer a protocol error of :mod:`http.server` in this front end's JSON.
+
+        The stdlib answers what no route sees itself: an unsupported method
+        (501), a malformed request line (400), an overlong one (414).  Its
+        status line and ``Connection: close`` stay; :meth:`error_body`
+        replaces its HTML page, and a HEAD answer still carries no body.
+        """
+        if message is None:
+            message = self.responses.get(code, ("error",))[0]
+        body = json.dumps(self.error_body(message), sort_keys=True).encode("ascii")
+        self.send_response(code, message)
+        self.send_header("Connection", "close")
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        if self.command != "HEAD":
+            self.wfile.write(body)
+
     def unknown_endpoint(self, path: str) -> None:
         """Answer a request for ``path``, which no route serves."""
+        raise NotImplementedError
+
+    def error_body(self, message: str) -> Dict:
+        """The JSON body of a protocol error (see :meth:`send_error`)."""
         raise NotImplementedError
 
 
@@ -157,7 +249,7 @@ class BoundServer:
         return self
 
     def stop(self) -> None:
-        """Stop listening, then stop the served object."""
+        """Stop listening and end the open connections, then stop the served object."""
         if self._thread is not None:
             self.httpd.shutdown()
             self._thread.join(timeout=10.0)
@@ -181,3 +273,71 @@ class BoundServer:
 
     def __exit__(self, *exc_info) -> None:
         self.stop()
+
+
+class ConnectionPool:
+    """Persistent HTTP/1.1 connections to one base URL, shared by threads.
+
+    ``base_url`` is ``http://host[:port]`` with an optional path prefix that
+    every request path is appended to.  A request borrows an idle connection
+    (or opens one), reads the whole answer, and puts the connection back
+    unless the answer closes it; at most :data:`MAX_IDLE` stay open.  A
+    reused connection that fails before any status line arrives was dropped
+    by the peer (closed while idle, or ended unanswered by a stopping
+    server), so the request is sent once more on a fresh connection.  That
+    is safe because every route of the program is idempotent: job ids and
+    blobs are content-addressed.
+    """
+
+    def __init__(self, base_url: str, timeout: float) -> None:
+        split = urlsplit(base_url)
+        if split.scheme != "http" or split.hostname is None:
+            raise ValueError(f"base URL must be http://host[:port][/prefix], got {base_url!r}")
+        self.host = split.hostname
+        self.port = split.port or 80
+        self.prefix = split.path.rstrip("/")
+        self.timeout = timeout
+        self._idle: List[http.client.HTTPConnection] = []
+        self._lock = threading.Lock()
+
+    def request(self, method: str, path: str, body: Optional[bytes] = None,
+                headers: Optional[Dict[str, str]] = None) -> Tuple[int, bytes]:
+        """``(status, body)`` of one round trip; raises :data:`TRANSPORT_ERRORS`."""
+        with self._lock:
+            connection = self._idle.pop() if self._idle else None
+        try:
+            if connection is not None:
+                try:
+                    response = self._send(connection, method, path, body, headers)
+                except _DROPPED:
+                    connection.close()
+                    connection = None
+            if connection is None:
+                connection = http.client.HTTPConnection(
+                    self.host, self.port, timeout=self.timeout
+                )
+                response = self._send(connection, method, path, body, headers)
+            data = response.read()
+        except BaseException:
+            if connection is not None:
+                connection.close()
+            raise
+        if not response.will_close:
+            with self._lock:
+                if len(self._idle) < MAX_IDLE:
+                    self._idle.append(connection)
+                    return response.status, data
+        connection.close()
+        return response.status, data
+
+    def _send(self, connection: http.client.HTTPConnection, method: str, path: str,
+              body: Optional[bytes], headers: Optional[Dict[str, str]]):
+        connection.request(method, self.prefix + path, body=body, headers=headers or {})
+        return connection.getresponse()
+
+    def close(self) -> None:
+        """Close the idle connections (a later request opens a new one)."""
+        with self._lock:
+            idle, self._idle = self._idle, []
+        for connection in idle:
+            connection.close()

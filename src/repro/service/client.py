@@ -9,8 +9,10 @@ cluster router) can swap transports freely.  The ``asyncio`` transport lives
 in :mod:`repro.service.aio`.
 
 :class:`HttpServiceClient` talks to a :class:`~repro.service.server.ServiceServer`
-(or a :class:`~repro.service.cluster.RouterServer`) over ``urllib.request``
-using the versioned ``/v1`` routes — no third-party dependencies.
+(or a :class:`~repro.service.cluster.RouterServer`) over kept-alive
+connections from a :class:`~repro.httpd.ConnectionPool`, shared by the
+threads that use the client, using the versioned ``/v1`` routes — no
+third-party dependencies.
 Server-side failures carry the structured ``{"error": {"code", "message",
 "job_id"}}`` envelope; they surface as :class:`ServiceError` (with ``.code``)
 or its subclasses: backpressure (HTTP 429) as :class:`BackpressureError`,
@@ -23,13 +25,11 @@ raises the same exception types.
 
 from __future__ import annotations
 
-import http.client
 import json
 import time
-import urllib.error
-import urllib.request
 from typing import Any, Callable, Dict, Optional, Union
 
+from repro.httpd import TRANSPORT_ERRORS, ConnectionPool
 from repro.obs.trace import TRACEPARENT_HEADER, TRACER
 from repro.service.api import error_fields, error_payload, versioned
 from repro.service.jobs import JobSpec
@@ -73,16 +73,6 @@ class TransportError(ServiceError):
         super().__init__(503, error_payload("shard_unavailable", message))
 
 
-#: Connection-level exceptions mapped to :class:`TransportError`.
-_CONNECTION_ERRORS = (
-    urllib.error.URLError,
-    http.client.HTTPException,
-    ConnectionError,
-    TimeoutError,
-    OSError,
-)
-
-
 def _as_spec_dict(spec: Union[Dict, JobSpec]) -> Dict:
     # Dicts pass through untouched: validation is the server's job, so the
     # client exercises (and surfaces) the real 400 path.
@@ -106,11 +96,13 @@ class HttpServiceClient:
     ``base_url`` is the server root (``http://127.0.0.1:8080``); a trailing
     slash is tolerated.  ``request_timeout`` bounds each HTTP round trip, not
     job completion — job completion is bounded per call via ``timeout``.
+    The client is thread-safe; its threads share one pool of kept-alive
+    connections.
     """
 
     def __init__(self, base_url: str, request_timeout: float = 60.0) -> None:
         self.base_url = base_url.rstrip("/")
-        self.request_timeout = request_timeout
+        self._pool = ConnectionPool(self.base_url, request_timeout)
 
     # Transport ---------------------------------------------------------- #
     def _request(self, method: str, path: str, payload: Optional[Dict] = None,
@@ -121,23 +113,17 @@ class HttpServiceClient:
             traceparent = TRACER.current_traceparent()
             if traceparent is not None:
                 headers[TRACEPARENT_HEADER] = traceparent
-        request = urllib.request.Request(
-            self.base_url + path,
-            method=method,
-            data=None if payload is None else json.dumps(payload).encode("ascii"),
-            headers=headers,
-        )
+        data = None if payload is None else json.dumps(payload).encode("ascii")
         try:
-            with urllib.request.urlopen(request, timeout=self.request_timeout) as response:
-                return response.status, decode(response.read())
-        except urllib.error.HTTPError as error:
-            try:
-                body = json.loads(error.read())
-            except (ValueError, OSError):
-                body = {"error": str(error)}
-            return error.code, body
-        except _CONNECTION_ERRORS as error:
+            status, raw = self._pool.request(method, path, data, headers)
+        except TRANSPORT_ERRORS as error:
             raise TransportError(f"{self.base_url}: {error}") from None
+        if status < 300:
+            return status, decode(raw)
+        try:
+            return status, json.loads(raw)
+        except ValueError:
+            return status, {"error": raw.decode("utf-8", "replace")}
 
     def _checked(self, method: str, path: str, payload: Optional[Dict] = None) -> Dict:
         status, body = self._request(method, path, payload)
@@ -220,7 +206,8 @@ class HttpServiceClient:
 
     # Lifecycle ----------------------------------------------------------- #
     def close(self) -> None:
-        """Nothing persistent to release (one connection per request)."""
+        """Close the kept-alive connections (a later call opens a new one)."""
+        self._pool.close()
 
     def __enter__(self) -> "HttpServiceClient":
         return self

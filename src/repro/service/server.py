@@ -223,7 +223,9 @@ class JsonRequestHandler(RequestHandler):
     Subclasses implement ``handle_get(parts, query)`` / ``handle_post(parts,
     query)`` against *version-stripped* path parts.  Failures are
     structured error envelopes: an unknown endpoint, a path without the
-    ``/v1`` prefix included, answers ``404`` (``not_found``).
+    ``/v1`` prefix included, answers ``404`` (``not_found``), and a protocol
+    error of :mod:`http.server` (an unsupported method, a malformed request
+    line) keeps its status with code ``bad_request``.
     """
 
     server_version = "boolgebra-service/2.0"
@@ -249,6 +251,9 @@ class JsonRequestHandler(RequestHandler):
 
     def unknown_endpoint(self, path: str) -> None:
         self._send_error(404, "not_found", f"unknown endpoint {path!r}")
+
+    def error_body(self, message: str) -> Dict:
+        return error_payload("bad_request", message)
 
     def _read_json(self) -> Dict:
         body = self._read_body()

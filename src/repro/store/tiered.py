@@ -30,9 +30,10 @@ The wire protocol is deliberately dumb — a keyed blob store::
     any other path                      -> 404
 
 served by :class:`StoreServer` straight from an ``ArtifactStore`` directory,
-with :class:`HttpStoreClient` as the matching ``urllib`` client.  The server
-shares its socket, keep-alive and lifecycle code with the service and router
-front ends through :mod:`repro.httpd` but keeps its own JSON error bodies.
+with :class:`HttpStoreClient` as the matching client over kept-alive
+connections.  Server and client share their HTTP code with the service,
+the router and the service client through :mod:`repro.httpd`; the server
+keeps its own JSON error bodies.
 This module imports nothing of the service layer — the service layer imports
 it, never the other way around.
 """
@@ -41,79 +42,63 @@ from __future__ import annotations
 
 import json
 import os
-import urllib.error
-import urllib.request
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional, Tuple, Union
 
-from repro.httpd import BoundServer, RequestHandler
+from repro.httpd import TRANSPORT_ERRORS, BoundServer, ConnectionPool, RequestHandler
 from repro.obs.metrics import REGISTRY
 from repro.obs.trace import TRACER
 from repro.store.artifacts import _STORE_BYTES, _STORE_LOOKUPS, KINDS, ArtifactStore
-
-#: Connection-level failures treated as "L2 unavailable" (degrade, don't die).
-_REMOTE_ERRORS = (urllib.error.URLError, ConnectionError, TimeoutError, OSError)
 
 #: Process-wide mirror of every ``tier_stats`` increment, labeled by event.
 _TIER_EVENTS = REGISTRY.counter("store_tier_events")
 
 
 class HttpStoreClient:
-    """``urllib`` client of a :class:`StoreServer` blob endpoint."""
+    """Client of a :class:`StoreServer` blob endpoint over kept-alive connections.
+
+    Every call raises :data:`~repro.httpd.TRANSPORT_ERRORS` when L2 cannot
+    be reached or answers an error (``ConnectionError``); a 404 of ``get``
+    or ``delete`` is an absent blob, not an error.
+    """
 
     def __init__(self, base_url: str, request_timeout: float = 30.0) -> None:
         self.base_url = base_url.rstrip("/")
-        self.request_timeout = request_timeout
+        self._pool = ConnectionPool(self.base_url, request_timeout)
 
-    def _url(self, kind: str, filename: str) -> str:
-        return f"{self.base_url}/v1/blob/{kind}/{filename}"
+    def _request(self, method: str, path: str, data: Optional[bytes] = None,
+                 absent_ok: bool = False) -> Tuple[int, bytes]:
+        """``(status, body)`` of ``method /v1{path}``; an error status raises."""
+        headers = None if data is None else {"Content-Type": "application/octet-stream"}
+        status, body = self._pool.request(method, f"/v1{path}", data, headers)
+        if status >= 400 and not (absent_ok and status == 404):
+            raise ConnectionError(f"store server error {status}")
+        return status, body
 
     def get(self, kind: str, filename: str) -> Optional[bytes]:
-        """The blob's bytes, or ``None`` when absent *or* L2 is unreachable."""
-        try:
-            with urllib.request.urlopen(
-                self._url(kind, filename), timeout=self.request_timeout
-            ) as response:
-                return response.read()
-        except urllib.error.HTTPError as error:
-            if error.code == 404:
-                return None
-            raise ConnectionError(f"store server error {error.code}") from None
+        """The blob's bytes, or ``None`` when absent."""
+        status, body = self._request("GET", f"/blob/{kind}/{filename}", absent_ok=True)
+        return None if status == 404 else body
 
     def put(self, kind: str, filename: str, data: bytes) -> None:
-        request = urllib.request.Request(
-            self._url(kind, filename),
-            method="PUT",
-            data=data,
-            headers={"Content-Type": "application/octet-stream"},
-        )
-        with urllib.request.urlopen(request, timeout=self.request_timeout):
-            pass
+        self._request("PUT", f"/blob/{kind}/{filename}", data)
 
     def delete(self, kind: str, filename: str) -> bool:
         """Remove one blob; ``False`` when it was already absent."""
-        request = urllib.request.Request(self._url(kind, filename), method="DELETE")
-        try:
-            with urllib.request.urlopen(request, timeout=self.request_timeout):
-                return True
-        except urllib.error.HTTPError as error:
-            if error.code == 404:
-                return False
-            raise ConnectionError(f"store server error {error.code}") from None
+        status, _ = self._request("DELETE", f"/blob/{kind}/{filename}", absent_ok=True)
+        return status != 404
 
     def info(self) -> Dict:
-        with urllib.request.urlopen(
-            f"{self.base_url}/v1/info", timeout=self.request_timeout
-        ) as response:
-            return json.loads(response.read())
+        return json.loads(self._request("GET", "/info")[1])
 
     def healthz(self) -> bool:
         try:
-            with urllib.request.urlopen(
-                f"{self.base_url}/v1/healthz", timeout=self.request_timeout
-            ) as response:
-                return response.status == 200
-        except _REMOTE_ERRORS:
+            return self._request("GET", "/healthz")[0] == 200
+        except TRANSPORT_ERRORS:
             return False
+
+    def close(self) -> None:
+        """Close the kept-alive connections (a later call opens a new one)."""
+        self._pool.close()
 
 
 class TieredStore(ArtifactStore):
@@ -173,7 +158,7 @@ class TieredStore(ArtifactStore):
     def _fetch_into_inner(self, path: str, kind: str, filename: str) -> bool:
         try:
             data = self.remote.get(kind, filename)
-        except _REMOTE_ERRORS:
+        except TRANSPORT_ERRORS:
             self._tier("l2_unavailable")
             return False
         if data is None:
@@ -215,7 +200,7 @@ class TieredStore(ArtifactStore):
             self.remote.put(kind, filename, data)
             self._tier("l2_writes")
             _STORE_BYTES.labels(kind=kind, direction="l2_write").inc(len(data))
-        except _REMOTE_ERRORS:
+        except TRANSPORT_ERRORS:
             self._tier("l2_unavailable")
 
     # ------------------------------------------------------------------ #
@@ -232,7 +217,7 @@ class TieredStore(ArtifactStore):
             _, filename = os.path.split(target)
             try:
                 removed = self.remote.delete(kind, filename) or removed
-            except _REMOTE_ERRORS:
+            except TRANSPORT_ERRORS:
                 self._tier("l2_unavailable")
         return removed
 
@@ -245,7 +230,7 @@ class TieredStore(ArtifactStore):
                 for name in [kind] if kind is not None else list(KINDS):
                     for filename in info.get(name, {}).get("files", []):
                         self.remote.delete(name, filename)
-            except _REMOTE_ERRORS:
+            except TRANSPORT_ERRORS:
                 self._tier("l2_unavailable")
         return removed
 
@@ -262,6 +247,9 @@ class _StoreRequestHandler(RequestHandler):
 
     def unknown_endpoint(self, path: str) -> None:
         self._send_json(404, {"error": "unknown endpoint"})
+
+    def error_body(self, message: str) -> Dict:
+        return {"error": message}
 
     def _blob_path(self, parts: List[str]) -> Optional[str]:
         """Validate ``["blob", kind, filename]``; ``None`` sends the error."""

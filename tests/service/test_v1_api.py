@@ -9,6 +9,7 @@ and the router carries the structured
 import http.client
 import json
 import re
+import socket
 import urllib.error
 import urllib.request
 from urllib.parse import urlparse
@@ -131,29 +132,65 @@ def test_error_answers_read_the_body_of_a_keep_alive_request(server, router, tmp
             assert (first, second, payload) == (status, 200, {"status": "ok"}), (method, path)
 
 
+def _raw_exchange(url, head):
+    """Send the request ``head`` (request line and headers) on a fresh socket.
+
+    Returns the answer's status, ``Content-Type``, body and ``will_close``,
+    and what the socket reads right after the answer (``b""`` once the
+    server closed the connection).
+    """
+    parsed = urlparse(url)
+    with socket.create_connection((parsed.hostname, parsed.port), timeout=30.0) as sock:
+        sock.sendall(head.encode("ascii") + b"\r\n\r\n")
+        response = http.client.HTTPResponse(sock, method=head.split()[0])
+        response.begin()
+        body = response.read()
+        after = sock.recv(1)
+    return response.status, response.getheader("Content-Type"), body, response.will_close, after
+
+
 def test_an_unreadable_content_length_answers_400_and_closes(server, router, tmp_path):
     # Where a body with ``Content-Length: abc`` ends is unknown: the answer
-    # is a 400 JSON body, and the connection closes after it.
-    def send(url, method, path):
-        parsed = urlparse(url)
-        connection = http.client.HTTPConnection(parsed.hostname, parsed.port, timeout=30.0)
-        try:
-            connection.putrequest(method, path)
-            connection.putheader("Content-Length", "abc")
-            connection.endheaders()
-            response = connection.getresponse()
-            payload = json.loads(response.read())
-            connection.sock.settimeout(10.0)
-            return response.status, payload, connection.sock.recv(1)
-        finally:
-            connection.close()
-
+    # is a 400 JSON body with ``Connection: close``, so a keep-alive client
+    # does not reuse the connection, and the connection closes after it.
+    head = "{} {} HTTP/1.1\r\nContent-Length: abc"
     for front in (server, router):
-        status, payload, after = send(front.url, "POST", "/v1/submit")
-        assert (status, payload["error"]["code"], after) == (400, "bad_request", b""), front
+        status, _, body, will_close, after = _raw_exchange(front.url, head.format("POST", "/v1/submit"))
+        code = json.loads(body)["error"]["code"]
+        assert (status, code, will_close, after) == (400, "bad_request", True, b""), front
     with StoreServer(str(tmp_path)) as store:
-        status, payload, after = send(store.url, "PUT", "/v1/blob/samples/x.json")
-        assert (status, after) == (400, b"") and "Content-Length" in payload["error"]
+        status, _, body, will_close, after = _raw_exchange(
+            store.url, head.format("PUT", "/v1/blob/samples/x.json")
+        )
+        assert (status, will_close, after) == (400, True, b"")
+        assert "Content-Length" in json.loads(body)["error"]
+    assert not (tmp_path / "samples").exists()
+
+
+def test_protocol_errors_answer_each_front_ends_json_and_close(server, router, tmp_path):
+    # What http.server answers itself (a method no route serves, a malformed
+    # request line) keeps its status and closes the connection, with the
+    # front end's JSON error body instead of an HTML page; HEAD gets no body.
+    def check(url, head, status):
+        answer = _raw_exchange(url, head + " HTTP/1.1")
+        assert answer[0] == status and answer[1] == "application/json", (url, head)
+        assert answer[3:] == (True, b""), (url, head)
+        return json.loads(answer[2]) if answer[2] else None
+
+    malformed = "GET /v1/healthz extra"
+    for front in (server, router):
+        for method in ("PUT", "DELETE"):
+            payload = check(front.url, f"{method} /v1/submit", 501)
+            assert payload == error_payload("bad_request", f"Unsupported method ({method!r})")
+        assert check(front.url, "HEAD /v1/healthz", 501) is None
+        payload = check(front.url, malformed, 400)
+        assert payload["error"]["code"] == "bad_request"
+        assert payload["error"]["message"].startswith("Bad request syntax")
+    with StoreServer(str(tmp_path)) as store:
+        payload = check(store.url, "POST /v1/blob/samples/x.json", 501)
+        assert payload == {"error": "Unsupported method ('POST')"}
+        assert check(store.url, "HEAD /v1/healthz", 501) is None
+        assert check(store.url, malformed, 400)["error"].startswith("Bad request syntax")
     assert not (tmp_path / "samples").exists()
 
 
